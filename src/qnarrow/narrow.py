@@ -58,7 +58,7 @@ from .term import (
     subterm_at,
     vars_of,
 )
-from .unify import Equation, mgu, unifiable
+from .unify import Bindings, Equation, mgu, resolve, unifiable
 
 TRUE_TERM = App(TRUE_SYMBOL)
 
@@ -341,105 +341,49 @@ STRATEGIES = ("eager-su", "lazy")
 ORDERS = ("bfs", "iddfs", "best-first")
 
 
-# The search engine keeps substitutions in triangular form: a plain dict of
-# bindings extended copy-on-write, resolved on demand.  Unifiers returned by
-# mgu only ever bind variables that are unbound in the current state (their
-# inputs are fully resolved and rule variants are fresh), so extension never
-# rebinds and resolution chains stay acyclic.  Idempotent substitutions are
-# materialized only when a solution is emitted.
-
-Bindings = dict
-
-
-def _resolve(t: Term, bindings: Bindings) -> Term:
-    if isinstance(t, Var):
-        bound = bindings.get(t)
-        return t if bound is None else _resolve(bound, bindings)
-    if not bindings or not t.args:
-        return t
-    new_args = tuple(_resolve(a, bindings) for a in t.args)
-    if all(n is o for n, o in zip(new_args, t.args)):
-        return t
-    return App(t.symbol, new_args)
-
-
-def _unify_walk(a: Term, b: Term, bindings: Bindings) -> Optional[Bindings]:
-    """Unify a and b modulo the triangular bindings; returns the extension
-    (new bindings only) or None.  Equivalent to running mgu on the resolved
-    terms, without materializing the resolution."""
-    new: Bindings = {}
-
-    def walk(t: Term) -> Term:
-        while isinstance(t, Var):
-            nxt = new.get(t)
-            if nxt is None:
-                nxt = bindings.get(t)
-            if nxt is None:
-                return t
-            t = nxt
-        return t
-
-    def occurs(x: Var, t: Term) -> bool:
-        t = walk(t)
-        if isinstance(t, Var):
-            return t == x
-        return any(occurs(x, arg) for arg in t.args)
-
-    stack = [(a, b)]
-    while stack:
-        u, v = stack.pop()
-        u = walk(u)
-        v = walk(v)
-        if u == v:
-            continue
-        if isinstance(u, Var) and isinstance(v, Var):
-            # bind the fresher variable, keeping problem variables stable
-            if (v.index, v.name) > (u.index, u.name):
-                u, v = v, u
-            new[u] = v
-            continue
-        if isinstance(u, Var):
-            if occurs(u, v):
-                return None
-            new[u] = v
-            continue
-        if isinstance(v, Var):
-            if occurs(v, u):
-                return None
-            new[v] = u
-            continue
-        if u.symbol != v.symbol or len(u.args) != len(v.args):
-            return None
-        stack.extend(zip(u.args, v.args))
-    return new
+# The search engine keeps substitutions in triangular form (see unify): a
+# plain dict of bindings, extended copy-on-write and resolved on demand.
+# Extensions come from the shared solver run against the bindings (eager
+# LP+SU) or from mgu on constraints already resolved by them (lazy SU); both
+# bind only variables unbound in the current state, as rule variants are
+# fresh, so nothing is rebound and resolution chains stay acyclic.  A lazy
+# node also carries the triangular solved form of its constraint set: LP
+# and Con solve just their one new equation against the parent's solved
+# form, which decides Cla without re-solving the set.  Idempotent
+# substitutions are materialized only when a solution is emitted.
 
 
 def _solved_form(bindings: Bindings, keep=None) -> Substitution:
     """The idempotent substitution denoted by triangular bindings."""
     scope = bindings.keys() if keep is None else [x for x in keep if x in bindings]
-    return Substitution({x: _resolve(x, bindings) for x in scope})
+    return Substitution({x: resolve(x, bindings) for x in scope})
 
 
 @dataclass(frozen=True)
 class _Node:
     """Internal search state; traces snapshot the bindings per applied rule
-    and are expanded to BqTraceStep records only on emission."""
+    and are expanded to BqTraceStep records only on emission.  `solved` is
+    the triangular solved form of the constraints (lazy strategy only; None
+    when there are none)."""
 
     goal: Term
     constraints: frozenset
     bindings: Bindings
     degree: QuantaleValue
+    solved: Optional[Bindings] = None
     frames: tuple = ()
 
-    def advance(self, tag, position, rule_index, goal, constraints, bindings, degree):
+    def advance(self, tag, position, rule_index, goal, constraints, bindings, degree,
+                solved=None):
         frame = (tag, position, rule_index, goal, constraints, bindings, degree)
-        return _Node(goal, constraints, bindings, degree, self.frames + (frame,))
+        return _Node(goal, constraints, bindings, degree, solved,
+                     self.frames + (frame,))
 
 
 def _node_trace(node_frames) -> tuple[BqTraceStep, ...]:
     return tuple(
         BqTraceStep(tag, pos, rule, goal,
-                    frozenset((_resolve(a, bindings), _resolve(b, bindings))
+                    frozenset((resolve(a, bindings), resolve(b, bindings))
                               for a, b in constraints),
                     _solved_form(bindings), degree)
         for tag, pos, rule, goal, constraints, bindings, degree in node_frames)
@@ -553,6 +497,10 @@ def solve(trs: GradedTrs, t: Term, s: Term,
 
     goal_sig = trs.goal_signature
     unit_grade = cbe_normalize(quantale, CBE_ID)
+    # per-search memos of the grade arithmetic in lp_candidates, keyed by
+    # (grade, argument CBE) and (grade, rule index)
+    compose_memo: dict = {}
+    factor_memo: dict = {}
 
     def compatible(pattern: Term, t: Term, bindings: Bindings) -> bool:
         """Cheap refutation test: False means no instantiation can unify."""
@@ -580,14 +528,19 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             if not isinstance(sub, App):
                 continue
             for i, cbe in enumerate(goal_sig.arity(sub.symbol)):
-                stack.append((p + (i + 1,), sub.args[i],
-                              cbe_compose(quantale, grade, cbe)))
+                inner = compose_memo.get((grade, cbe))
+                if inner is None:
+                    inner = compose_memo[grade, cbe] = cbe_compose(quantale, grade, cbe)
+                stack.append((p + (i + 1,), sub.args[i], inner))
             for i, rule in enumerate(trs.rules):
                 if head_filter and rule.lhs.symbol != sub.symbol:
                     continue
                 if not compatible(rule.lhs, sub, bindings):
                     continue
-                yield p, i, rule, sub, cbe_apply(grade, rule.degree)
+                factor = factor_memo.get((grade, i))
+                if factor is None:
+                    factor = factor_memo[grade, i] = cbe_apply(grade, rule.degree)
+                yield p, i, rule, sub, factor
 
     def eager_successors(node: _Node) -> list[tuple["_Node", int]]:
         out = []
@@ -596,13 +549,11 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             if below_threshold(new_degree):
                 continue
             lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
-            extension = _unify_walk(lhs, sub, node.bindings)
-            if extension is None:
+            new_bindings = dict(node.bindings)
+            if not unifiable(((lhs, sub),), new_bindings):
                 continue
             goal = replace_at(node.goal, p, rhs)
             constraint = frozenset({(lhs, sub)})
-            new_bindings = dict(node.bindings)
-            new_bindings.update(extension)
             nxt = node.advance("LP", p, i, goal, constraint,
                                node.bindings, new_degree)
             nxt = nxt.advance("SU", None, None, goal, frozenset(),
@@ -639,11 +590,13 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             if below_threshold(new_degree):
                 continue
             lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
-            constraints = node.constraints | {(lhs, _resolve(sub, node.bindings))}
-            if not unifiable(constraints):
+            equation = (lhs, resolve(sub, node.bindings))
+            solved = dict(node.solved or {})
+            if not unifiable((equation,), solved):
                 continue  # Cla fires on this configuration
             out.append((node.advance("LP", p, i, replace_at(node.goal, p, rhs),
-                                     constraints, node.bindings, new_degree), 1))
+                                     node.constraints | {equation}, node.bindings,
+                                     new_degree, solved), 1))
         if node.constraints:
             rho = mgu(node.constraints)
             if isinstance(rho, Substitution):
@@ -653,11 +606,12 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                                          new_bindings, node.degree), 0))
         e = node.goal
         if e != TRUE_TERM and _goal_is_equation(e):
-            constraints = node.constraints | {
-                (_resolve(e.args[0], node.bindings), _resolve(e.args[1], node.bindings))}
-            if unifiable(constraints):
-                out.append((node.advance("Con", None, None, TRUE_TERM, constraints,
-                                         node.bindings, node.degree), 0))
+            equation = (resolve(e.args[0], node.bindings), resolve(e.args[1], node.bindings))
+            solved = dict(node.solved or {})
+            if unifiable((equation,), solved):
+                out.append((node.advance("Con", None, None, TRUE_TERM,
+                                         node.constraints | {equation},
+                                         node.bindings, node.degree, solved), 0))
         return out
 
     successors = eager_successors if strategy == "eager-su" else lazy_successors
@@ -682,13 +636,11 @@ def solve(trs: GradedTrs, t: Term, s: Term,
         e = node.goal
         if not _goal_is_equation(e):
             return
-        extension = _unify_walk(e.args[0], e.args[1], node.bindings)
-        if extension is None:
-            return
-        constraint = (_resolve(e.args[0], node.bindings),
-                      _resolve(e.args[1], node.bindings))
         new_bindings = dict(node.bindings)
-        new_bindings.update(extension)
+        if not unifiable(((e.args[0], e.args[1]),), new_bindings):
+            return
+        constraint = (resolve(e.args[0], node.bindings),
+                      resolve(e.args[1], node.bindings))
         final = node.advance("Con", None, None, TRUE_TERM,
                              node.constraints | {constraint},
                              node.bindings, node.degree)

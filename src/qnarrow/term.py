@@ -303,6 +303,14 @@ class Substitution:
             raise SubstitutionError(f"not idempotent: {m}")
         self._map = m
 
+    @classmethod
+    def trusted(cls, mapping: dict[Var, Term]) -> "Substitution":
+        """Wrap a map its builder knows to be idempotent and free of
+        identity bindings, without copying or checking it."""
+        subst = object.__new__(cls)
+        subst._map = mapping
+        return subst
+
     @property
     def is_identity(self) -> bool:
         return not self._map

@@ -1,14 +1,28 @@
-"""Syntactic first-order unification and one-sided matching."""
+"""Syntactic first-order unification and one-sided matching.
+
+One solver serves every caller.  It keeps its solution in triangular form:
+a dict of bindings in which a bound variable may map to a term that still
+mentions other bound variables.  Each side of a pending equation is walked
+(its variable chain followed) only as far as needed, and the occurs check
+runs on walked terms, so no binding ever rewrites the pending work or the
+earlier bindings.  Resolving the bindings once yields the idempotent mgu.
+
+Because the bindings are an ordinary dict, a solved form can be extended by
+further equations later: solving a new equation against the solved form of
+a set decides unifiability of the enlarged set without re-solving it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .term import App, Substitution, Term, Var, vars_of
+from .term import App, Substitution, Term, Var
 
 Equation = tuple[Term, Term]
 EquationSet = Iterable[Equation]
+# triangular bindings: resolution chains are acyclic, no variable is rebound
+Bindings = dict
 
 
 @dataclass(frozen=True)
@@ -23,40 +37,126 @@ class UnifyFailure:
         return f"{self.reason}: {self.left} vs {self.right}"
 
 
-def mgu(equations: EquationSet) -> Union[Substitution, UnifyFailure]:
-    """Most general idempotent unifier of a set of term pairs.
+def resolve(t: Term, bindings: Bindings) -> Term:
+    """t with every bound variable replaced, transitively, by its binding."""
+    if isinstance(t, Var):
+        bound = bindings.get(t)
+        return t if bound is None else resolve(bound, bindings)
+    if not bindings or not t.args:
+        return t
+    new_args = tuple(resolve(a, bindings) for a in t.args)
+    if all(n is o for n, o in zip(new_args, t.args)):
+        return t
+    return App(t.symbol, new_args)
 
-    Transformation-style solver with an eager occurs check: the worklist and
-    the solved bindings are kept fully instantiated, so the result is
-    idempotent by construction and most general up to renaming.
+
+def _occurs(x: Var, t: Term, bindings: Bindings) -> bool:
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        while isinstance(t, Var):
+            bound = bindings.get(t)
+            if bound is None:
+                break
+            t = bound
+        if isinstance(t, Var):
+            if t == x:
+                return True
+        else:
+            stack.extend(t.args)
+    return False
+
+
+def _solve(work: list, bindings: Bindings) -> Optional[tuple[str, Term, Term]]:
+    """Solve the equations in `work` (popped from the end) modulo the
+    bindings, adding new bindings in place.  Returns None, or the failure's
+    reason and its two walked (not resolved) sides; the bindings then hold a
+    partial extension.
+
+    The pop order and the choice of the bound variable (the fresher of two,
+    by (index, name)) are those of the transformation-style algorithm that
+    applies each binding to all pending equations at once, so resolving the
+    result gives exactly its unifier.
     """
-    work: list[Equation] = list(equations)
-    solved: dict[Var, Term] = {}
+    get = bindings.get
     while work:
         a, b = work.pop()
+        while isinstance(a, Var):
+            bound = get(a)
+            if bound is None:
+                break
+            a = bound
+        while isinstance(b, Var):
+            bound = get(b)
+            if bound is None:
+                break
+            b = bound
         if a == b:
             continue
         if isinstance(a, Var) or isinstance(b, Var):
             x, t = (a, b) if isinstance(a, Var) else (b, a)
             # bind the fresher of two variables, keeping problem variables
             # (and therefore the rendered output) stable under renaming
-            if isinstance(t, Var) and (t.index, t.name) > (x.index, x.name):
-                x, t = t, x
-            if x in vars_of(t):
-                return UnifyFailure("occurs", x, t)
-            one = Substitution({x: t})
-            work = [(one.apply(u), one.apply(v)) for u, v in work]
-            solved = {y: one.apply(u) for y, u in solved.items()}
-            solved[x] = t
+            if isinstance(t, Var):
+                if (t.index, t.name) > (x.index, x.name):
+                    x, t = t, x
+            elif _occurs(x, t, bindings):
+                return "occurs", x, t
+            bindings[x] = t
             continue
         if a.symbol != b.symbol or len(a.args) != len(b.args):
-            return UnifyFailure("clash", a, b)
+            return "clash", a, b
         work.extend(zip(a.args, b.args))
-    return Substitution(solved)
+    return None
 
 
-def unifiable(equations: EquationSet) -> bool:
-    return isinstance(mgu(equations), Substitution)
+def _resolve_all(bindings: Bindings) -> dict:
+    """The idempotent map denoted by the bindings, in binding order; each
+    variable's resolution is computed once."""
+    done: dict = {}
+
+    def res(t: Term) -> Term:
+        if isinstance(t, Var):
+            out = done.get(t)
+            if out is None:
+                bound = bindings.get(t)
+                out = done[t] = t if bound is None else res(bound)
+            return out
+        if not t.args:
+            return t
+        new_args = tuple(res(a) for a in t.args)
+        if all(n is o for n, o in zip(new_args, t.args)):
+            return t
+        return App(t.symbol, new_args)
+
+    return {x: res(x) for x in bindings}
+
+
+def mgu(equations: EquationSet) -> Union[Substitution, UnifyFailure]:
+    """Most general idempotent unifier of a set of term pairs, or why there
+    is none (with both sides fully instantiated).
+
+    The solved form is resolved once at the end.  A variable never occurs in
+    the resolution of a variable bound after it, so the result is idempotent
+    by construction and skips Substitution's check.
+    """
+    bindings: Bindings = {}
+    failure = _solve(list(equations), bindings)
+    if failure is not None:
+        reason, left, right = failure
+        return UnifyFailure(reason, resolve(left, bindings), resolve(right, bindings))
+    return Substitution.trusted(_resolve_all(bindings))
+
+
+def unifiable(equations: EquationSet, bindings: Optional[Bindings] = None) -> bool:
+    """Whether the equations have a unifier.
+
+    With `bindings`, a triangular solved form (of earlier equations, or a
+    search state's substitution), the equations are solved modulo it and
+    it is extended in place to the solved form of everything; after a False
+    return it holds a partial extension and must be discarded.
+    """
+    return _solve(list(equations), {} if bindings is None else bindings) is None
 
 
 def match(pattern: Term, subject: Term) -> Optional[Substitution]:

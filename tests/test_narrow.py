@@ -1,6 +1,10 @@
 """Narrowing, the calculus, and the solver."""
 
+import hashlib
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,7 @@ from qnarrow import (
     iterate_narrowing,
     narrowing_steps,
     narrowing_solutions,
+    parse_file,
     q_leq,
     solve,
     vars_of,
@@ -350,15 +355,16 @@ class TestSolve:
         """Every equation that ever entered a constraint set along a
         successful derivation is unified by the final substitution."""
         problems = [
-            (peano, plus(X, S(Z)), plus(plus(X, X), X), L.degree(1), 8),
+            (peano, plus(X, S(Z)), plus(plus(X, X), X), L.degree(1),
+             # the lazy frontier on Peano grows fast with the step bound
+             {"eager-su": 8, "lazy": 4}),
             (cubic, App("f", (X, X, X)),
-             App("f", (App("a"), App("b"), App("d"))), None, 6),
-            (unbalanced, App("f", (App("a"),)), App("g", (App("b"),)), None, 5),
+             App("f", (App("a"), App("b"), App("d"))), None, {"eager-su": 6, "lazy": 6}),
+            (unbalanced, App("f", (App("a"),)), App("g", (App("b"),)), None,
+             {"eager-su": 5, "lazy": 5}),
         ]
-        for trs, t, s, threshold, depth in problems:
-            # the lazy frontier on the first system is large; eager covers it
-            strategies = ("eager-su",) if trs is peano else ("eager-su", "lazy")
-            for strategy in strategies:
+        for trs, t, s, threshold, depths in problems:
+            for strategy, depth in depths.items():
                 result = solve(trs, t, s, threshold=threshold,
                                strategy=strategy, max_steps=depth)
                 assert result.solutions
@@ -490,3 +496,69 @@ class TestNarrowingSolutions:
         assert ("{x -> d}", "4") in pairs
         assert not any("c" in rendering or "a" in rendering or "b" in rendering
                        for rendering, _ in pairs)
+
+
+# -- golden outcomes on the demo problems -----------------------------------
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+GOLDEN = Path(__file__).resolve().parent / "golden_demos.json"
+# (strategy, order, max_steps): the command line's default bound for eager
+# search, and bounds at which the lazy Peano frontier stays small
+GOLDEN_SETTINGS = (
+    ("eager-su", "bfs", 10), ("lazy", "bfs", 4),
+    ("eager-su", "iddfs", 6), ("lazy", "iddfs", 3),
+    ("eager-su", "best-first", 6), ("lazy", "best-first", 3),
+)
+# a missing file fails test_covers_every_demo_problem
+RECORDED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+
+
+def golden_keys():
+    return [f"{path.stem}/{index}/{strategy}/{order}/{steps}"
+            for path in sorted(DEMOS.glob("*.gtrs"))
+            for index in range(len(parse_file(str(path)).problems))
+            for strategy, order, steps in GOLDEN_SETTINGS]
+
+
+def demo_outcome(key):
+    """What a search on one demo problem reports: the expanded count, why it
+    stopped, the ordered solutions and a digest of their full traces (which
+    record every intermediate substitution, so also the orientation of each
+    binding)."""
+    stem, index, strategy, order, steps = key.split("/")
+    pf = parse_file(str(DEMOS / f"{stem}.gtrs"))
+    problem = pf.problems[int(index)]
+    result = solve(pf.trs, problem.left, problem.right, threshold=problem.threshold,
+                   strategy=strategy, order=order, max_steps=int(steps))
+    traces = "\n\n".join(
+        "\n".join(f"{f.tag} {f.position} {f.rule_index} {f.goal} "
+                  f"[{'; '.join(sorted(f'{a} = {b}' for a, b in f.constraints))}] "
+                  f"{f.subst} {f.degree}" for f in sol.trace)
+        for sol in result.solutions)
+    return {
+        "configs_expanded": result.configs_expanded,
+        "stopped": result.stopped,
+        "solutions": [[str(sol.subst), str(sol.degree), sol.dominated]
+                      for sol in result.solutions],
+        "traces_sha256": hashlib.sha256(traces.encode()).hexdigest()[:16],
+    }
+
+
+class TestDemoGolden:
+    """Search outcomes recorded from the engine that re-solved every
+    constraint set with a transformation-style mgu; incremental triangular
+    unification must reproduce them exactly.  Regenerate (only for a change
+    meant to alter the search) with
+    `PYTHONPATH=src python tests/test_narrow.py --write-golden`."""
+
+    def test_covers_every_demo_problem(self):
+        assert sorted(RECORDED) == sorted(golden_keys())
+
+    @pytest.mark.parametrize("key", sorted(RECORDED))
+    def test_outcome(self, key):
+        assert demo_outcome(key) == RECORDED[key]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write-golden"]:
+    GOLDEN.write_text(json.dumps({key: demo_outcome(key) for key in golden_keys()},
+                                 indent=1, sort_keys=True) + "\n")
