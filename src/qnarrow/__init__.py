@@ -39,8 +39,6 @@ from .term import (
     Substitution,
     Term,
     Var,
-    apply_subst,
-    compose_subst,
     fresh_variant,
     fun_positions,
     grade_of_position,

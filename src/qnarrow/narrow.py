@@ -58,7 +58,7 @@ from .term import (
     subterm_at,
     vars_of,
 )
-from .unify import Bindings, Equation, mgu, resolve, unifiable
+from .unify import Bindings, Equation, mgu, resolve, resolve_all, unifiable
 
 TRUE_TERM = App(TRUE_SYMBOL)
 
@@ -350,19 +350,14 @@ ORDERS = ("bfs", "iddfs", "best-first")
 # node also carries the triangular solved form of its constraint set: LP
 # and Con solve just their one new equation against the parent's solved
 # form, which decides Cla without re-solving the set.  Idempotent
-# substitutions are materialized only when a solution is emitted.
-
-
-def _solved_form(bindings: Bindings, keep=None) -> Substitution:
-    """The idempotent substitution denoted by triangular bindings."""
-    scope = bindings.keys() if keep is None else [x for x in keep if x in bindings]
-    return Substitution({x: resolve(x, bindings) for x in scope})
+# substitutions are materialized only for emitted solutions, by one
+# `resolve_all` per trace frame.
 
 
 @dataclass(frozen=True)
 class _Node:
     """Internal search state; traces snapshot the bindings per applied rule
-    and are expanded to BqTraceStep records only on emission.  `solved` is
+    and are resolved into BqTraceStep records only on emission.  `solved` is
     the triangular solved form of the constraints (lazy strategy only; None
     when there are none)."""
 
@@ -381,12 +376,14 @@ class _Node:
 
 
 def _node_trace(node_frames) -> tuple[BqTraceStep, ...]:
-    return tuple(
-        BqTraceStep(tag, pos, rule, goal,
-                    frozenset((resolve(a, bindings), resolve(b, bindings))
-                              for a, b in constraints),
-                    _solved_form(bindings), degree)
-        for tag, pos, rule, goal, constraints, bindings, degree in node_frames)
+    out = []
+    for tag, pos, rule, goal, constraints, bindings, degree in node_frames:
+        subst = Substitution.trusted(resolve_all(bindings))
+        out.append(BqTraceStep(
+            tag, pos, rule, goal,
+            frozenset((subst.apply(a), subst.apply(b)) for a, b in constraints),
+            subst, degree))
+    return tuple(out)
 
 
 def _node_key(node: _Node, problem_vars: frozenset[Var]):
@@ -459,26 +456,35 @@ def solve(trs: GradedTrs, t: Term, s: Term,
           order: str = "bfs",
           max_steps: int = 10,
           max_solutions: Optional[int] = None,
-          max_configs: Optional[int] = None,
-          head_filter: bool = False) -> SolveResult:
+          max_configs: Optional[int] = None) -> SolveResult:
     """Search calculus derivations from  t =? s; {}; identity; unit.
 
     Every configuration reaching goal true with no constraints is emitted as
-    a solution (substitution restricted to the problem variables).  A
-    threshold prunes configurations whose degree falls below it; max_steps
-    bounds the number of LP applications on a branch.  Configurations whose
-    constraint set has no unifier are dropped the moment they arise (the
-    clash rule cannot be outrun: constraint sets only grow).  head_filter
-    additionally skips LP candidates whose rule head differs from the redex
-    head before attempting unification; it cannot change the solution set
-    and is off by default.
+    a solution (substitution restricted to the problem variables).  The
+    strategy schedules the four rules: "eager-su" runs SU right after every
+    LP and finishes a goal equation by Con then SU; "lazy" applies each rule
+    as a step of its own, so constraints accumulate until SU discharges
+    them.  A threshold prunes configurations whose degree falls below it;
+    max_steps bounds the number of LP applications on a branch.
+    Configurations whose constraint set has no unifier are dropped the
+    moment they arise (the clash rule cannot be outrun: constraint sets only
+    grow).  Problem terms must use declared symbols with their declared
+    argument counts and no reserved symbol, or TrsError is raised.
     """
     if trs.signature.is_extended:
         raise TrsError("solve expects the unextended system")
     for side in (t, s):
         for _, sub in iter_subterms(side):
-            if isinstance(sub, App) and sub.symbol in RESERVED_SYMBOLS:
+            if not isinstance(sub, App):
+                continue
+            if sub.symbol in RESERVED_SYMBOLS:
                 raise TrsError(f"reserved symbol {sub.symbol!r} in problem term")
+            if not trs.signature.has(sub.symbol):
+                raise TrsError(f"undeclared symbol {sub.symbol!r} in problem term")
+            arity = len(trs.signature.arity(sub.symbol))
+            if len(sub.args) != arity:
+                raise TrsError(f"{sub.symbol!r} takes {arity} arguments, "
+                               f"got {len(sub.args)} in problem term")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if order not in ORDERS:
@@ -517,7 +523,9 @@ def solve(trs: GradedTrs, t: Term, s: Term,
 
     def lp_candidates(node: _Node):
         """(position, rule index, rule, redex, degree factor); the position
-        grade is accumulated along the traversal."""
+        grade is accumulated along the traversal.  It draws no fresh
+        variant (fresh indices decide _node_key's constraint order), so the
+        depth-cut probe in run can call it without altering the search."""
         e = node.goal
         if e == TRUE_TERM:
             return
@@ -533,8 +541,6 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                     inner = compose_memo[grade, cbe] = cbe_compose(quantale, grade, cbe)
                 stack.append((p + (i + 1,), sub.args[i], inner))
             for i, rule in enumerate(trs.rules):
-                if head_filter and rule.lhs.symbol != sub.symbol:
-                    continue
                 if not compatible(rule.lhs, sub, bindings):
                     continue
                 factor = factor_memo.get((grade, i))
@@ -542,9 +548,12 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                     factor = factor_memo[grade, i] = cbe_apply(grade, rule.degree)
                 yield p, i, rule, sub, factor
 
-    def eager_successors(node: _Node) -> list[tuple["_Node", int]]:
+    # A strategy is a successor function (LP only when `lp`, that is below
+    # the step bound) and a finisher that emits what a popped node solves.
+
+    def eager_successors(node: _Node, lp: bool) -> list[tuple["_Node", int]]:
         out = []
-        for p, i, rule, sub, factor in lp_candidates(node):
+        for p, i, rule, sub, factor in (lp_candidates(node) if lp else ()):
             new_degree = q_tensor(node.degree, factor)
             if below_threshold(new_degree):
                 continue
@@ -561,31 +570,9 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             out.append((nxt, 1))
         return out
 
-    def has_live_lp(node: _Node) -> bool:
-        """Whether LP could still fire (an over-approximation: a compatible
-        redex/rule pair may yet fail unification), used only to report
-        whether the depth bound cut anything."""
-        e = node.goal
-        if e == TRUE_TERM:
-            return False
-        stack = [e]
-        while stack:
-            sub = stack.pop()
-            if not isinstance(sub, App):
-                continue
-            stack.extend(sub.args)
-            for rule in trs.rules:
-                if compatible(rule.lhs, sub, node.bindings):
-                    return True
-        return False
-
-    def lazy_successors(node: _Node, include_lp: bool = True) -> list:
+    def lazy_successors(node: _Node, lp: bool) -> list[tuple["_Node", int]]:
         out = []
-        if not include_lp:
-            candidates = ()
-        else:
-            candidates = lp_candidates(node)
-        for p, i, rule, sub, factor in candidates:
+        for p, i, rule, sub, factor in (lp_candidates(node) if lp else ()):
             new_degree = q_tensor(node.degree, factor)
             if below_threshold(new_degree):
                 continue
@@ -614,25 +601,21 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                                          node.bindings, node.degree, solved), 0))
         return out
 
-    successors = eager_successors if strategy == "eager-su" else lazy_successors
-
     emitted: dict[object, Solution] = {}
     expanded = 0
     depth_cut = False
     stopped = "exhausted"
 
     def emit(final: _Node) -> None:
-        restricted = canonical_subst(_solved_form(final.bindings, problem_vars))
+        restricted = canonical_subst(
+            Substitution.trusted(resolve_all(final.bindings)).restrict(problem_vars))
         key = (restricted, final.degree)
         if key not in emitted:
             emitted[key] = Solution(restricted, final.degree,
                                     _node_trace(final.frames))
 
-    def try_emit(node: _Node) -> None:
-        if strategy != "eager-su":
-            if node.goal == TRUE_TERM and not node.constraints:
-                emit(node)
-            return
+    def eager_finish(node: _Node) -> None:
+        """Con then SU on the goal equation, emitted when it unifies."""
         e = node.goal
         if not _goal_is_equation(e):
             return
@@ -647,6 +630,16 @@ def solve(trs: GradedTrs, t: Term, s: Term,
         final = final.advance("SU", None, None, TRUE_TERM, frozenset(),
                               new_bindings, node.degree)
         emit(final)
+
+    def lazy_finish(node: _Node) -> None:
+        """Emit a node that Con and SU have already brought to true."""
+        if node.goal == TRUE_TERM and not node.constraints:
+            emit(node)
+
+    if strategy == "eager-su":
+        successors, finish = eager_successors, eager_finish
+    else:
+        successors, finish = lazy_successors, lazy_finish
 
     def run(order_name: str, bound: int) -> None:
         nonlocal expanded, depth_cut, stopped
@@ -676,22 +669,18 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                 return
             node, depth = pop()
             expanded += 1
-            try_emit(node)
+            finish(node)
             if max_solutions is not None and len(emitted) >= max_solutions:
                 stopped = "solution-limit"
                 return
-            at_bound = depth >= bound
-            if at_bound:
-                # LP successors would overrun the bound: skip building them,
-                # but record whether the bound actually cut a live branch
-                if not depth_cut and has_live_lp(node):
-                    depth_cut = True
-                if strategy == "eager-su":
-                    continue
-                succs = lazy_successors(node, include_lp=False)
-            else:
-                succs = successors(node)
-            for nxt, cost in succs:
+            lp = depth < bound
+            # at the bound LP successors would overrun it: skip building them,
+            # but record whether the bound cut a branch where LP could fire
+            # (an over-approximation: a compatible redex/rule pair may yet
+            # fail unification)
+            if not lp and not depth_cut and next(lp_candidates(node), None) is not None:
+                depth_cut = True
+            for nxt, cost in successors(node, lp):
                 new_depth = depth + cost
                 key = _node_key(nxt, problem_vars)
                 if seen.get(key, bound + 1) <= new_depth:

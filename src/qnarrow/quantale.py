@@ -400,7 +400,3 @@ def cbe_to_str(quantale: Quantale, f: Cbe) -> str:
     if isinstance(g, CbePow):
         return "id" if g.exponent == 1 else f"pow({g.exponent})"
     return "id"
-
-
-ALL_QUANTALES = tuple(Quantale)
-TOTALLY_ORDERED_QUANTALES = tuple(q for q in Quantale if q.totally_ordered)

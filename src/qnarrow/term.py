@@ -334,9 +334,6 @@ class Substitution:
             return t
         return App(t.symbol, new_args)
 
-    def apply_pairs(self, pairs):
-        return frozenset((self.apply(a), self.apply(b)) for a, b in pairs)
-
     def compose(self, other: "Substitution") -> "Substitution":
         """self then other; rejects compositions that break idempotency."""
         m = {x: other.apply(t) for x, t in self._map.items()}
@@ -368,14 +365,6 @@ class Substitution:
 
 
 IDENTITY = Substitution()
-
-
-def apply_subst(t: Term, subst: Substitution) -> Term:
-    return subst.apply(t)
-
-
-def compose_subst(first: Substitution, second: Substitution) -> Substitution:
-    return first.compose(second)
 
 
 def max_var_index(terms: Iterable[Term]) -> int:
@@ -417,7 +406,3 @@ def fresh_variant(terms, counter: FreshCounter):
 
     renamed = tuple(rename(t) for t in group)
     return renamed[0] if single else renamed
-
-
-def term_to_str(t: Term) -> str:
-    return str(t)

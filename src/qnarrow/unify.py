@@ -110,9 +110,11 @@ def _solve(work: list, bindings: Bindings) -> Optional[tuple[str, Term, Term]]:
     return None
 
 
-def _resolve_all(bindings: Bindings) -> dict:
-    """The idempotent map denoted by the bindings, in binding order; each
-    variable's resolution is computed once."""
+def resolve_all(bindings: Bindings) -> dict:
+    """The idempotent map denoted by triangular bindings, keyed in the order
+    the bindings were made; each variable's resolution is computed once and
+    shared.  The map has no identity bindings, so it can be wrapped with
+    `Substitution.trusted`."""
     done: dict = {}
 
     def res(t: Term) -> Term:
@@ -145,7 +147,7 @@ def mgu(equations: EquationSet) -> Union[Substitution, UnifyFailure]:
     if failure is not None:
         reason, left, right = failure
         return UnifyFailure(reason, resolve(left, bindings), resolve(right, bindings))
-    return Substitution.trusted(_resolve_all(bindings))
+    return Substitution.trusted(resolve_all(bindings))
 
 
 def unifiable(equations: EquationSet, bindings: Optional[Bindings] = None) -> bool:

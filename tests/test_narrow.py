@@ -250,8 +250,15 @@ class TestSolve:
         from qnarrow.rewrite import TrsError
         with pytest.raises(TrsError):
             solve(extend_trs(peano), Z, Z)
-        with pytest.raises(TrsError):
-            solve(peano, eq(Z, Z), Z)
+        # reserved, undeclared, too few and too many arguments: problem
+        # terms are checked up front, not when LP first reaches them
+        bad = [eq(Z, Z), App("q"), App("S"), App("S", (Z, Z)), S(App("+", (Z,)))]
+        for term in bad:
+            for strategy in ("eager-su", "lazy"):
+                for max_steps in (0, 1):
+                    for t, s in ((term, Z), (term, term), (X, term)):
+                        with pytest.raises(TrsError):
+                            solve(peano, t, s, strategy=strategy, max_steps=max_steps)
 
     def test_identical_ground_terms(self, peano):
         for max_steps in (0, 2):
@@ -298,17 +305,6 @@ class TestSolve:
                     if reference is None:
                         reference = found
                     assert found == reference, (strategy, order)
-
-    def test_head_filter_equivalence(self):
-        rng = random.Random(23)
-        cfg = SystemConfig(n_constants=2, n_unary=1, n_binary=0)
-        for _ in range(10):
-            trs = random_system(rng, cfg)
-            t, s = random_linear_problem(rng, trs)
-            plain = solve(trs, t, s, max_steps=3)
-            filtered = solve(trs, t, s, max_steps=3, head_filter=True)
-            assert {(sol.subst, sol.degree) for sol in plain.solutions} \
-                == {(sol.subst, sol.degree) for sol in filtered.solutions}
 
     def test_threshold_never_loses_qualifying_solutions(self):
         rng = random.Random(29)
@@ -408,14 +404,21 @@ class TestSolve:
     def test_limit_reporting(self, cubic):
         a, b, d = App("a"), App("b"), App("d")
         f = lambda *ts: App("f", tuple(ts))
-        exhausted = solve(cubic, f(X, X, X), f(a, b, d), max_steps=8)
-        assert exhausted.complete and exhausted.stopped == "exhausted"
-        cut = solve(cubic, f(X, X, X), f(a, b, d), max_steps=1)
-        assert not cut.complete and cut.stopped == "depth-limit"
-        capped = solve(cubic, f(X, X, X), f(a, b, d), max_steps=8, max_configs=3)
-        assert not capped.complete and capped.stopped == "config-limit"
-        limited = solve(cubic, f(X, X, X), f(a, b, d), max_steps=8, max_solutions=1)
-        assert limited.stopped == "solution-limit"
+        t, s = f(X, X, X), f(a, b, d)
+        for strategy in ("eager-su", "lazy"):
+            exhausted = solve(cubic, t, s, strategy=strategy, max_steps=8)
+            assert exhausted.complete and exhausted.stopped == "exhausted"
+            cut = solve(cubic, t, s, strategy=strategy, max_steps=1)
+            assert not cut.complete and cut.stopped == "depth-limit"
+            # the root itself is at the bound
+            rooted = solve(cubic, t, s, strategy=strategy, max_steps=0)
+            assert not rooted.complete and rooted.stopped == "depth-limit"
+            assert rooted.configs_expanded == 1 and not rooted.solutions
+            capped = solve(cubic, t, s, strategy=strategy, max_steps=8, max_configs=3)
+            assert not capped.complete and capped.stopped == "config-limit"
+            limited = solve(cubic, t, s, strategy=strategy, max_steps=8,
+                            max_solutions=1)
+            assert limited.stopped == "solution-limit"
 
 
 class TestDerivationToCalculus:
