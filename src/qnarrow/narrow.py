@@ -35,14 +35,13 @@ from .quantale import (
     q_leq,
     q_tensor,
 )
-from .rewrite import GradedTrs, RewriteRule, TrsError, extend_trs
+from .rewrite import GradedTrs, RewriteRule, TrsError, check_terms, extend_trs
 from .term import (
     App,
     EQ_SYMBOL,
     FreshCounter,
     IDENTITY,
     Position,
-    RESERVED_SYMBOLS,
     ROOT,
     Substitution,
     Term,
@@ -52,7 +51,6 @@ from .term import (
     fun_positions,
     grade_of_position,
     is_prefix,
-    iter_subterms,
     max_var_index,
     replace_at,
     subterm_at,
@@ -352,6 +350,25 @@ ORDERS = ("bfs", "iddfs", "best-first")
 # form, which decides Cla without re-solving the set.  Idempotent
 # substitutions are materialized only for emitted solutions, by one
 # `resolve_all` per trace frame.
+#
+# Everything the search memoizes lives in tables local to one `solve` call
+# and dies with it:
+#   - grades are interned as small ints; the grades of a symbol's argument
+#     positions are memoized by (grade id, symbol), the LP degree factor by
+#     (grade id, rule index);
+#   - the degree step (tensor with a factor, then the threshold test) is
+#     memoized by (degree, factor);
+#   - rules are indexed by the head symbol of their left side, in ascending
+#     rule order, so LP visits only rules whose head matches the redex;
+#   - the state key (`_key_function`) sorts the problem variables once,
+#     memoizes the sort key of each constraint equation, and writes the
+#     degree as an int id.
+# Two states get equal keys exactly when their goals, resolved constraints,
+# resolved bindings in scope and degrees agree after fresh variables are
+# renamed by first occurrence.  That renaming follows the constraint order,
+# which is by `str` of each (unresolved) equation, i.e. the dataclass reprs
+# of its terms; those reprs are therefore part of the state identity, and
+# changing them changes which states the search merges.
 
 
 @dataclass(frozen=True)
@@ -386,68 +403,94 @@ def _node_trace(node_frames) -> tuple[BqTraceStep, ...]:
     return tuple(out)
 
 
-def _node_key(node: _Node, problem_vars: frozenset[Var]):
-    """Hashable state identity: the goal as written (its skeleton decides
-    where LP may still fire, so it must not be resolved), the constraints,
-    and the resolved bindings of every variable in scope, with fresh
-    variables renamed by first occurrence.  Serialized in one pass without
-    building terms."""
-    bindings = node.bindings
-    out: list = []
-    slots: dict[Var, int] = {}
-    order: list[Var] = []
+def _key_function(problem_vars: frozenset[Var]):
+    """The state-key function of one solve call.  A key is a hashable
+    identity of a node: the goal as written (its skeleton decides where LP
+    may still fire, so it must not be resolved), the constraints, and the
+    resolved bindings of every variable in scope, with fresh variables
+    renamed by first occurrence, then the degree.  Serialized in one pass
+    without building terms; a problem variable stands for itself."""
+    markers = [(x, ("=pv", x.name))
+               for x in sorted(problem_vars, key=lambda v: (v.name, v.index))]
+    equation_strs: dict = {}
+    degree_ids: dict = {}
 
-    def slot(v: Var) -> int:
-        s = slots.get(v)
-        if s is None:
-            s = slots[v] = len(slots)
-            order.append(v)
-        return s
+    def equation_str(equation) -> str:
+        text = equation_strs.get(equation)
+        if text is None:
+            text = equation_strs[equation] = str(equation)
+        return text
 
-    def emit_raw(t: Term) -> None:
-        if isinstance(t, Var):
-            out.append(("pv", t.name) if t.index == 0 else slot(t))
-            return
-        out.append(t.symbol)
-        out.append(len(t.args))
-        for a in t.args:
-            emit_raw(a)
+    def node_key(node: _Node) -> tuple:
+        bindings = node.bindings
+        out: list = []
+        append = out.append
+        slots: dict[Var, int] = {}
+        order: list[Var] = []
 
-    def emit_resolved(t: Term) -> None:
-        while isinstance(t, Var):
-            nxt = bindings.get(t)
-            if nxt is None:
-                break
-            t = nxt
-        if isinstance(t, Var):
-            out.append(("pv", t.name) if t.index == 0 else slot(t))
-            return
-        out.append(t.symbol)
-        out.append(len(t.args))
-        for a in t.args:
-            emit_resolved(a)
+        def emit_var(v: Var) -> None:
+            if v.index == 0:
+                append(v)
+                return
+            s = slots.get(v)
+            if s is None:
+                s = slots[v] = len(order)
+                order.append(v)
+            append(s)
 
-    emit_raw(node.goal)
-    if node.constraints:
-        out.append("|C")
-        for a, b in sorted(node.constraints, key=str):
-            out.append("|")
-            emit_resolved(a)
-            emit_resolved(b)
-    out.append("|B")
-    for x in sorted(problem_vars, key=lambda v: (v.name, v.index)):
-        if x in bindings:
-            out.append(("=pv", x.name))
-            emit_resolved(x)
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        if v in bindings:
-            out.append(("=", slots[v]))
-            emit_resolved(v)
-    out.append(node.degree)
-    return tuple(out)
+        def emit_raw(t: Term) -> None:
+            if isinstance(t, Var):
+                emit_var(t)
+                return
+            append(t.symbol)
+            append(len(t.args))
+            for a in t.args:
+                emit_raw(a)
+
+        def emit_resolved(t: Term) -> None:
+            while isinstance(t, Var):
+                nxt = bindings.get(t)
+                if nxt is None:
+                    emit_var(t)
+                    return
+                t = nxt
+            append(t.symbol)
+            append(len(t.args))
+            for a in t.args:
+                emit_resolved(a)
+
+        emit_raw(node.goal)
+        constraints = node.constraints
+        if constraints:
+            append("|C")
+            if len(constraints) > 1:
+                constraints = sorted(constraints, key=equation_str)
+            for a, b in constraints:
+                append("|")
+                emit_resolved(a)
+                emit_resolved(b)
+        append("|B")
+        for x, marker in markers:
+            if x in bindings:
+                append(marker)
+                emit_resolved(x)
+        i = 0
+        while i < len(order):
+            v = order[i]
+            i += 1
+            if v in bindings:
+                append(("=", slots[v]))
+                emit_resolved(v)
+        degree_id = degree_ids.get(node.degree)
+        if degree_id is None:
+            degree_id = degree_ids[node.degree] = len(degree_ids)
+        append(degree_id)
+        return tuple(out)
+
+    return node_key
+
+
+_UNSEEN = object()
 
 
 def solve(trs: GradedTrs, t: Term, s: Term,
@@ -473,18 +516,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     """
     if trs.signature.is_extended:
         raise TrsError("solve expects the unextended system")
-    for side in (t, s):
-        for _, sub in iter_subterms(side):
-            if not isinstance(sub, App):
-                continue
-            if sub.symbol in RESERVED_SYMBOLS:
-                raise TrsError(f"reserved symbol {sub.symbol!r} in problem term")
-            if not trs.signature.has(sub.symbol):
-                raise TrsError(f"undeclared symbol {sub.symbol!r} in problem term")
-            arity = len(trs.signature.arity(sub.symbol))
-            if len(sub.args) != arity:
-                raise TrsError(f"{sub.symbol!r} takes {arity} arguments, "
-                               f"got {len(sub.args)} in problem term")
+    check_terms(trs.signature, (t, s), "problem term")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if order not in ORDERS:
@@ -497,55 +529,87 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     counter = FreshCounter(
         max_var_index([t, s] + [x for r in trs.rules for x in (r.lhs, r.rhs)]) + 1)
     start = _Node(App(EQ_SYMBOL, (t, s)), frozenset(), {}, quantale.unit)
-
-    def below_threshold(degree: QuantaleValue) -> bool:
-        return threshold is not None and not q_leq(threshold, degree)
+    node_key = _key_function(problem_vars)
 
     goal_sig = trs.goal_signature
-    unit_grade = cbe_normalize(quantale, CBE_ID)
-    # per-search memos of the grade arithmetic in lp_candidates, keyed by
-    # (grade, argument CBE) and (grade, rule index)
-    compose_memo: dict = {}
-    factor_memo: dict = {}
+    grades = [cbe_normalize(quantale, CBE_ID)]  # grade id -> CBE; 0 is the root's
+    grade_ids = {grades[0]: 0}
+    child_grades: dict[tuple[int, str], tuple[int, ...]] = {}
+    factors: dict[tuple[int, int], QuantaleValue] = {}
+    steps: dict[tuple[QuantaleValue, QuantaleValue], Optional[QuantaleValue]] = {}
+    degrees = {start.degree: start.degree}  # one object per degree value
+    rules_by_head: dict[str, list[tuple[int, RewriteRule]]] = {}
+    for i, rule in enumerate(trs.rules):
+        rules_by_head.setdefault(rule.lhs.symbol, []).append((i, rule))
+
+    def argument_grades(grade_id: int, symbol: str) -> tuple[int, ...]:
+        ids = []
+        for cbe in goal_sig.arity(symbol):
+            grade = cbe_compose(quantale, grades[grade_id], cbe)
+            gid = grade_ids.get(grade)
+            if gid is None:
+                gid = grade_ids[grade] = len(grades)
+                grades.append(grade)
+            ids.append(gid)
+        return tuple(ids)
+
+    def step(degree: QuantaleValue, factor: QuantaleValue) -> Optional[QuantaleValue]:
+        """The degree after an LP step with this factor, or None when it
+        falls below the threshold."""
+        new_degree = steps.get((degree, factor), _UNSEEN)
+        if new_degree is _UNSEEN:
+            new_degree = q_tensor(degree, factor)
+            if threshold is not None and not q_leq(threshold, new_degree):
+                new_degree = None
+            else:
+                new_degree = degrees.setdefault(new_degree, new_degree)
+            steps[degree, factor] = new_degree
+        return new_degree
 
     def compatible(pattern: Term, t: Term, bindings: Bindings) -> bool:
         """Cheap refutation test: False means no instantiation can unify."""
+        if isinstance(pattern, Var):
+            return True
         while isinstance(t, Var):
             nxt = bindings.get(t)
             if nxt is None:
                 return True
             t = nxt
-        if isinstance(pattern, Var):
-            return True
         if pattern.symbol != t.symbol:
             return False
-        return all(compatible(a, b, bindings) for a, b in zip(pattern.args, t.args))
+        for a, b in zip(pattern.args, t.args):
+            if not compatible(a, b, bindings):
+                return False
+        return True
 
     def lp_candidates(node: _Node):
         """(position, rule index, rule, redex, degree factor); the position
         grade is accumulated along the traversal.  It draws no fresh
-        variant (fresh indices decide _node_key's constraint order), so the
+        variant (fresh indices decide the key's constraint order), so the
         depth-cut probe in run can call it without altering the search."""
         e = node.goal
         if e == TRUE_TERM:
             return
         bindings = node.bindings
-        stack = [(ROOT, e, unit_grade)]
+        stack = [(ROOT, e, 0)]
         while stack:
-            p, sub, grade = stack.pop()
-            if not isinstance(sub, App):
-                continue
-            for i, cbe in enumerate(goal_sig.arity(sub.symbol)):
-                inner = compose_memo.get((grade, cbe))
-                if inner is None:
-                    inner = compose_memo[grade, cbe] = cbe_compose(quantale, grade, cbe)
-                stack.append((p + (i + 1,), sub.args[i], inner))
-            for i, rule in enumerate(trs.rules):
+            p, sub, grade_id = stack.pop()
+            args = sub.args
+            if args:
+                arg_grades = child_grades.get((grade_id, sub.symbol))
+                if arg_grades is None:
+                    arg_grades = child_grades[grade_id, sub.symbol] = \
+                        argument_grades(grade_id, sub.symbol)
+                for i, arg in enumerate(args):
+                    if isinstance(arg, App):
+                        stack.append((p + (i + 1,), arg, arg_grades[i]))
+            for i, rule in rules_by_head.get(sub.symbol, ()):
                 if not compatible(rule.lhs, sub, bindings):
                     continue
-                factor = factor_memo.get((grade, i))
+                factor = factors.get((grade_id, i))
                 if factor is None:
-                    factor = factor_memo[grade, i] = cbe_apply(grade, rule.degree)
+                    factor = cbe_apply(grades[grade_id], rule.degree)
+                    factor = factors[grade_id, i] = degrees.setdefault(factor, factor)
                 yield p, i, rule, sub, factor
 
     # A strategy is a successor function (LP only when `lp`, that is below
@@ -554,8 +618,8 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     def eager_successors(node: _Node, lp: bool) -> list[tuple["_Node", int]]:
         out = []
         for p, i, rule, sub, factor in (lp_candidates(node) if lp else ()):
-            new_degree = q_tensor(node.degree, factor)
-            if below_threshold(new_degree):
+            new_degree = step(node.degree, factor)
+            if new_degree is None:
                 continue
             lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
             new_bindings = dict(node.bindings)
@@ -573,8 +637,8 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     def lazy_successors(node: _Node, lp: bool) -> list[tuple["_Node", int]]:
         out = []
         for p, i, rule, sub, factor in (lp_candidates(node) if lp else ()):
-            new_degree = q_tensor(node.degree, factor)
-            if below_threshold(new_degree):
+            new_degree = step(node.degree, factor)
+            if new_degree is None:
                 continue
             lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
             equation = (lhs, resolve(sub, node.bindings))
@@ -643,7 +707,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
 
     def run(order_name: str, bound: int) -> None:
         nonlocal expanded, depth_cut, stopped
-        seen: dict[object, int] = {_node_key(start, problem_vars): 0}
+        seen: dict[object, int] = {node_key(start): 0}
         if order_name == "bfs":
             queue = deque([(start, 0)])
             pop = queue.popleft
@@ -682,7 +746,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                 depth_cut = True
             for nxt, cost in successors(node, lp):
                 new_depth = depth + cost
-                key = _node_key(nxt, problem_vars)
+                key = node_key(nxt)
                 if seen.get(key, bound + 1) <= new_depth:
                     continue
                 seen[key] = new_depth
@@ -762,7 +826,9 @@ def narrowing_solutions(trs: GradedTrs, t: Term, s: Term, max_steps: int,
                         basic_only: bool = False) -> set:
     """Unifiers found by plain narrowing on `t =? s` over the extended
     system: canonical (restricted substitution, degree) pairs of derivations
-    reaching true within the step bound."""
+    reaching true within the step bound.  Both terms must fit the system's
+    signature, or TrsError is raised."""
+    check_terms(trs.signature, (t, s), "problem term")
     extended = trs if trs.signature.is_extended else extend_trs(trs)
     problem_vars = vars_of(t) | vars_of(s)
     goal = App(EQ_SYMBOL, (t, s))

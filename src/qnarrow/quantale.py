@@ -142,9 +142,12 @@ class Quantale(Enum):
         return (0, -v.num)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantaleValue:
-    """An element of a quantale: an exact rational or the infinity token."""
+    """An element of a quantale: an exact rational or the infinity token.
+
+    The hash is computed once, with the value the generated dataclass hash
+    would give; degrees key the search's memos and state tables."""
 
     quantale: Quantale
     num: Extended
@@ -154,6 +157,18 @@ class QuantaleValue:
             object.__setattr__(self, "num", Fraction(self.num))
         if not self.quantale.contains(self.num):
             raise CarrierError(f"{self.num} outside carrier of {self.quantale.value}")
+        object.__setattr__(self, "_hash", hash((self.quantale, self.num)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, QuantaleValue):
+            return NotImplemented
+        return (self._hash == other._hash and self.quantale is other.quantale
+                and self.num == other.num)
 
     def __str__(self):
         return "inf" if self.num is INF else str(self.num)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Optional
 
 from .quantale import QuantaleValue, cbe_apply, cbe_equal, q_leq, q_tensor
 from .term import (
@@ -18,6 +18,7 @@ from .term import (
     EQ_SYMBOL,
     FreshCounter,
     Position,
+    RESERVED_SYMBOLS,
     Signature,
     Substitution,
     Term,
@@ -30,6 +31,7 @@ from .term import (
     is_ground,
     is_linear,
     is_prefix,
+    iter_subterms,
     max_var_index,
     replace_at,
     subterm_at,
@@ -157,6 +159,23 @@ def check_trs(trs: GradedTrs) -> TrsReport:
     return TrsReport(tuple(per_rule), trs.confluent)
 
 
+def check_terms(signature: Signature, terms: Iterable[Term], where: str) -> None:
+    """Raise TrsError unless every function symbol in the terms is declared
+    in the signature with its declared argument count; `where` names the
+    terms in the message."""
+    for t in terms:
+        for _, sub in iter_subterms(t):
+            if not isinstance(sub, App):
+                continue
+            if not signature.has(sub.symbol):
+                kind = "reserved" if sub.symbol in RESERVED_SYMBOLS else "undeclared"
+                raise TrsError(f"{kind} symbol {sub.symbol!r} in {where}")
+            arity = len(signature.arity(sub.symbol))
+            if len(sub.args) != arity:
+                raise TrsError(f"{sub.symbol!r} takes {arity} arguments, "
+                               f"got {len(sub.args)} in {where}")
+
+
 def extend_trs(trs: GradedTrs) -> GradedTrs:
     """The joinability extension: adds `=?`, `true`, and the unit-degree
     rule rewriting `x =? x` to `true`."""
@@ -220,8 +239,10 @@ def rewrite_search(trs: GradedTrs, start: Term, max_steps: int,
     For each reached term, keeps the order-maximal accumulated degrees found
     (a singleton on totally ordered quantales) with one witnessing trace
     each.  Branches whose accumulated degree drops below the threshold are
-    pruned, which is sound because the tensor is deflationary.
+    pruned, which is sound because the tensor is deflationary.  The start
+    term must fit the system's signature, or TrsError is raised.
     """
+    check_terms(trs.signature, (start,), "start term")
     expand = innermost_rewrite_steps if innermost else rewrite_steps
     unit = trs.quantale.unit
     # Entries per term: (degree, depth reached, trace).  A candidate is
@@ -264,7 +285,9 @@ def rewrite_search(trs: GradedTrs, start: Term, max_steps: int,
 def joinable(trs: GradedTrs, t: Term, s: Term, max_steps: int,
              threshold: Optional[QuantaleValue] = None) -> Optional[ReachEntry]:
     """Best degree at which t and s rewrite to a common term within the
-    bound, found by searching `t =? s` for `true` over the extended system."""
+    bound, found by searching `t =? s` for `true` over the extended system.
+    Both terms must fit the system's signature, or TrsError is raised."""
+    check_terms(trs.signature, (t, s), "joinability problem")
     extended = trs if trs.signature.is_extended else extend_trs(trs)
     goal = App(TRUE_SYMBOL)
     reached = rewrite_search(extended, App(EQ_SYMBOL, (t, s)), max_steps, threshold)

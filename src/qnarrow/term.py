@@ -43,10 +43,27 @@ class SubstitutionError(TermError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var:
+    # hash cached as for App (variables key every bindings dict), with the
+    # value the generated hash gave; the generated repr is kept, because
+    # search state keys order constraints by their rendering
     name: str
     index: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.index)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Var):
+            return NotImplemented
+        return (self._hash == other._hash and self.name == other.name
+                and self.index == other.index)
 
     def __str__(self):
         return self.name if self.index == 0 else f"{self.name}'{self.index}"
@@ -399,10 +416,13 @@ def fresh_variant(terms, counter: FreshCounter):
 
     def rename(t: Term) -> Term:
         if isinstance(t, Var):
-            if t not in renaming:
-                renaming[t] = Var(t.name, counter.next())
-            return renaming[t]
-        return App(t.symbol, tuple(rename(a) for a in t.args))
+            v = renaming.get(t)
+            if v is None:
+                v = renaming[t] = Var(t.name, counter.next())
+            return v
+        if not t.args:
+            return t  # constants are shared, not rebuilt
+        return App(t.symbol, tuple([rename(a) for a in t.args]))
 
     renamed = tuple(rename(t) for t in group)
     return renamed[0] if single else renamed

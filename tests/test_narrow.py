@@ -27,6 +27,7 @@ from qnarrow import (
     parse_file,
     q_leq,
     solve,
+    Var,
     vars_of,
 )
 from qnarrow.narrow import (
@@ -491,6 +492,14 @@ class TestWeakCompleteness:
 
 
 class TestNarrowingSolutions:
+    def test_terms_checked_against_signature(self, peano):
+        from qnarrow.rewrite import TrsError
+        bad = (App("q"), App("S"), App("S", (Z, Z)), S(App("+", (Z,))), eq(Z, Z))
+        for term in bad:
+            for t, s in ((term, Z), (term, term), (X, term)):
+                with pytest.raises(TrsError):
+                    narrowing_solutions(peano, t, s, 1)
+
     def test_cubic_solution_set(self, cubic):
         a, b, d = App("a"), App("b"), App("d")
         f = lambda *ts: App("f", tuple(ts))
@@ -560,6 +569,110 @@ class TestDemoGolden:
     @pytest.mark.parametrize("key", sorted(RECORDED))
     def test_outcome(self, key):
         assert demo_outcome(key) == RECORDED[key]
+
+
+# -- state keys ---------------------------------------------------------------
+
+
+def reference_node_key(node, problem_vars):
+    """The state key as the search computed it before its per-solve tables
+    (its logic kept verbatim): the key function must partition states as this
+    one does, or the search would merge or split other states."""
+    bindings = node.bindings
+    out: list = []
+    slots: dict = {}
+    order: list = []
+
+    def slot(v):
+        s = slots.get(v)
+        if s is None:
+            s = slots[v] = len(slots)
+            order.append(v)
+        return s
+
+    def emit_raw(t):
+        if isinstance(t, Var):
+            out.append(("pv", t.name) if t.index == 0 else slot(t))
+            return
+        out.append(t.symbol)
+        out.append(len(t.args))
+        for a in t.args:
+            emit_raw(a)
+
+    def emit_resolved(t):
+        while isinstance(t, Var):
+            nxt = bindings.get(t)
+            if nxt is None:
+                break
+            t = nxt
+        if isinstance(t, Var):
+            out.append(("pv", t.name) if t.index == 0 else slot(t))
+            return
+        out.append(t.symbol)
+        out.append(len(t.args))
+        for a in t.args:
+            emit_resolved(a)
+
+    emit_raw(node.goal)
+    if node.constraints:
+        out.append("|C")
+        for a, b in sorted(node.constraints, key=str):
+            out.append("|")
+            emit_resolved(a)
+            emit_resolved(b)
+    out.append("|B")
+    for x in sorted(problem_vars, key=lambda v: (v.name, v.index)):
+        if x in bindings:
+            out.append(("=pv", x.name))
+            emit_resolved(x)
+    i = 0
+    while i < len(order):
+        v = order[i]
+        i += 1
+        if v in bindings:
+            out.append(("=", slots[v]))
+            emit_resolved(v)
+    out.append(node.degree)
+    return tuple(out)
+
+
+# the golden bounds of the orders that share one seen-table per solve
+KEY_SETTINGS = [setting for setting in GOLDEN_SETTINGS if setting[1] != "iddfs"]
+
+
+class TestStateKeys:
+    @pytest.mark.parametrize("stem", sorted(path.stem for path in DEMOS.glob("*.gtrs")))
+    def test_partition_matches_reference(self, stem, monkeypatch):
+        """Within each solve, two generated states get equal keys exactly
+        when they get equal reference keys."""
+        from qnarrow import narrow
+
+        make_key = narrow._key_function
+        pairs = []
+
+        def recording_key_function(problem_vars):
+            node_key = make_key(problem_vars)
+
+            def key(node):
+                new = node_key(node)
+                pairs.append((new, reference_node_key(node, problem_vars)))
+                return new
+            return key
+
+        monkeypatch.setattr(narrow, "_key_function", recording_key_function)
+        pf = parse_file(str(DEMOS / f"{stem}.gtrs"))
+        for problem in pf.problems:
+            for strategy, order, steps in KEY_SETTINGS:
+                pairs.clear()
+                solve(pf.trs, problem.left, problem.right, threshold=problem.threshold,
+                      strategy=strategy, order=order, max_steps=steps)
+                assert len(pairs) > 1
+                to_reference, to_new = {}, {}
+                for new, reference in pairs:
+                    assert to_reference.setdefault(new, reference) == reference, \
+                        (strategy, order, "merges states the reference keeps apart")
+                    assert to_new.setdefault(reference, new) == new, \
+                        (strategy, order, "splits a state the reference merges")
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write-golden"]:

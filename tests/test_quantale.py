@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qnarrow import (
     CBE_CONST,
@@ -203,3 +203,53 @@ def test_order_is_total_and_antisymmetric(q, data):
     assert q_leq(a, b) or q_leq(b, a)
     if q_leq(a, b) and q_leq(b, a):
         assert a == b
+
+
+# -- value-type contract ------------------------------------------------------
+
+small_numbers = st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1)))
+
+
+@st.composite
+def degrees(draw):
+    q = draw(st.sampled_from(list(Quantale)))
+    if q.reversed_order and draw(st.booleans()):
+        return q.degree(INF)
+    num = draw(small_numbers)
+    if not q.contains(num):
+        num = Fraction(1)
+    return q.degree(num)
+
+
+class TestValueContract:
+    @given(degrees(), degrees())
+    @example(L.degree(1), LM.degree(1))
+    @example(L.degree(INF), L.degree(0))
+    def test_eq_and_hash_consistent(self, a, b):
+        assert (a == b) == (a.quantale is b.quantale and a.num == b.num)
+        if a == b:
+            assert hash(a) == hash(b)
+        # the generated dataclass hash, so hashed collections keep their order
+        assert hash(a) == hash((a.quantale, a.num))
+        copy = a.quantale.degree(a.num)
+        assert copy == a and hash(copy) == hash(a)
+
+    def test_equal_numbers_in_different_quantales_unequal(self):
+        pairs = [(L.degree(1), LM.degree(1)), (FG.degree(1), FP.degree(1)),
+                 (B.degree(0), FG.degree(0)), (L.degree(INF), LM.degree(INF))]
+        for a, b in pairs:
+            assert a.num == b.num and a != b and b != a
+        assert len({L.degree(1), LM.degree(1), FG.degree(1), FP.degree(1), B.degree(1)}) == 5
+
+    def test_infinity_compares(self):
+        assert L.degree(INF) == L.bottom == L.parse_degree("inf")
+        assert hash(L.degree(INF)) == hash(L.bottom)
+        assert L.degree(INF) != L.degree(0) and L.degree(0) != L.degree(INF)
+        assert L.degree(INF) != INF
+        assert q_leq(L.degree(INF), L.degree(5)) and not q_leq(L.degree(5), L.degree(INF))
+
+    def test_pinned_reprs(self):
+        assert repr(L.degree(3)) == \
+            "QuantaleValue(quantale=<Quantale.LAWVERE: 'lawvere'>, num=Fraction(3, 1))"
+        assert repr(L.degree(INF)) == \
+            "QuantaleValue(quantale=<Quantale.LAWVERE: 'lawvere'>, num=inf)"

@@ -144,7 +144,23 @@ class TestExtend:
             extend_trs(extend_trs(peano))
 
 
+# undeclared, too few and too many arguments (also nested), under Peano's
+# signature Z/0, S/1, +/2
+ILL_FORMED = (App("q"), App("S"), App("S", (Z, Z)), S(App("+", (Z,))))
+
+
 class TestRewriteSearch:
+    def test_terms_checked_against_signature(self, peano):
+        for term in ILL_FORMED:
+            for max_steps in (0, 1):
+                with pytest.raises(TrsError):
+                    rewrite_search(peano, term, max_steps)
+        with pytest.raises(TrsError):
+            rewrite_search(peano, App("=?", (Z, Z)), 1)
+        # the reserved symbols are declared in the extended signature
+        reached = rewrite_search(extend_trs(peano), App("=?", (Z, Z)), 1)
+        assert App("true") in reached
+
     def test_zero_steps_is_diagonal(self, peano):
         t = plus(Z, S(Z))
         reached = rewrite_search(peano, t, 0)
@@ -189,6 +205,12 @@ class TestRewriteSearch:
 
 
 class TestJoinable:
+    def test_terms_checked_against_signature(self, peano):
+        for term in ILL_FORMED + (App("=?", (Z, Z)), App("true")):
+            for t, s in ((term, Z), (term, term), (Z, term)):
+                with pytest.raises(TrsError):
+                    joinable(peano, t, s, 1)
+
     def test_identical_terms_unit(self, peano):
         t = plus(Z, S(Z))
         entry = joinable(peano, t, t, 2)

@@ -1,8 +1,10 @@
 """Terms, positions, grades, substitutions, and fresh variants."""
 
 import random
+from dataclasses import make_dataclass
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from qnarrow import (
     App,
@@ -25,6 +27,7 @@ from qnarrow import (
     positions,
     replace_at,
     subterm_at,
+    Var,
     var_positions,
     vars_of,
 )
@@ -221,6 +224,17 @@ class TestFreshVariants:
             for j in range(i + 1, len(seen)):
                 assert not (seen[i] & seen[j])
 
+    def test_indices_left_to_right_lhs_then_rhs(self):
+        counter = FreshCounter(5)
+        lhs, rhs = fresh_variant((plus(Y, S(X)), plus(X, Y)), counter)
+        y5, x6 = Var("y", 5), Var("x", 6)
+        assert lhs == plus(y5, S(x6))
+        assert rhs == plus(x6, y5)
+        assert counter.value == 7
+        # a variable first met on the right side is numbered after the left's
+        lhs, rhs = fresh_variant((S(X), plus(X, Y)), FreshCounter(1))
+        assert (lhs, rhs) == (S(Var("x", 1)), plus(Var("x", 1), Var("y", 2)))
+
     def test_counter_strictly_increases(self):
         counter = FreshCounter()
         values = [counter.next() for _ in range(50)]
@@ -236,3 +250,61 @@ class TestPredicates:
     def test_ground(self):
         assert is_ground(S(Z))
         assert not is_ground(S(X))
+
+
+# -- value-type contract ------------------------------------------------------
+#
+# Search state keys order constraints by `str` of each equation, which is
+# the repr of its terms, so the reprs below are part of the search's
+# behaviour.  The mirrors are the dataclasses Var and App are declared as,
+# with every method generated.
+
+PlainVar = make_dataclass("Var", [("name", str), ("index", int)], frozen=True)
+PlainApp = make_dataclass("App", [("symbol", str), ("args", tuple)], frozen=True)
+
+
+def mirror(t):
+    if isinstance(t, Var):
+        return PlainVar(t.name, t.index)
+    return PlainApp(t.symbol, tuple(mirror(a) for a in t.args))
+
+
+# a small vocabulary, so that equal terms are drawn often
+variables = st.builds(Var, st.sampled_from(("x", "y")), st.integers(0, 2))
+terms = st.recursive(
+    st.one_of(variables, st.sampled_from(("Z", "a")).map(App)),
+    lambda children: st.builds(App, st.sampled_from(("S", "f")),
+                               st.lists(children, min_size=1, max_size=2).map(tuple)),
+    max_leaves=5)
+
+
+class TestValueContract:
+    @given(terms, terms)
+    @example(Var("x", 0), Var("x", 1))
+    @example(Var("x", 1), Var("y", 1))
+    @example(S(X), S(Var("x", 1)))
+    def test_eq_and_hash_consistent(self, a, b):
+        assert (a == b) == (mirror(a) == mirror(b))
+        if a == b:
+            assert hash(a) == hash(b)
+        assert a != mirror(a) and a != repr(a)
+
+    @given(terms)
+    def test_rebuilt_copy_is_equal(self, t):
+        copy = (Var(t.name, t.index) if isinstance(t, Var)
+                else App(t.symbol, tuple(t.args)))
+        assert copy == t and hash(copy) == hash(t)
+
+    @given(terms, terms)
+    def test_repr_and_hash_match_the_dataclass_form(self, a, b):
+        assert repr(a) == repr(mirror(a))
+        assert str((a, b)) == str((mirror(a), mirror(b)))
+        assert hash(a) == hash(mirror(a))
+
+    def test_pinned_reprs(self):
+        assert repr(Var("y", 3)) == "Var(name='y', index=3)"
+        assert repr(X) == "Var(name='x', index=0)"
+        assert repr(S(Var("x", 2))) == "App(symbol='S', args=(Var(name='x', index=2),))"
+        assert str((plus(X, Z), Var("y", 1))) == (
+            "(App(symbol='+', args=(Var(name='x', index=0), App(symbol='Z', args=()))), "
+            "Var(name='y', index=1))")
