@@ -8,7 +8,10 @@ enumerated from the rewrite relation directly and re-weighted from the
 grades, so agreement between the two is evidence, not tautology.
 
 Only totally ordered quantales are accepted here; every verdict is
-qualified by the exploration bounds.
+qualified by the exploration bounds.  Each conversion search keeps its own
+lookup tables (rule index, interned grades, degree factors and tensors) and
+checks its caps by arithmetic on the expanded node's shape; nothing it
+memoizes outlives the call.
 """
 
 from __future__ import annotations
@@ -127,52 +130,136 @@ def _apply_env(t: Term, env: dict) -> Term:
     return App(t.symbol, tuple(_apply_env(a, env) for a in t.args))
 
 
-def _edges_from(trs: GradedTrs, u: Term,
-                instantiation_pool: tuple[Term, ...]) -> tuple[list[ConversionEdge], bool]:
-    """The symmetric adjacency of a ground term: forward rewrite steps plus
-    reversed steps, each weighted by the grade of its position applied to
-    the rule degree (the context above the redex is the same on both ends).
+# Raw edge: (target, position, rule index, forward, degree, replaced
+# subterm, replacement); the search builds a ConversionEdge only for the
+# edges it records as a parent link.
+_RawEdge = tuple[Term, Position, int, bool, QuantaleValue, Term, Term]
+
+
+def _conversion_edges(trs: GradedTrs, pool: tuple[Term, ...]):
+    """The adjacency function of the symmetric rewrite graph: for a ground
+    term u it returns (raw edges, incomplete).  The edges are the forward
+    rewrite steps plus reversed steps, each weighted by the grade of its
+    position applied to the rule degree (the context above the redex is the
+    same on both ends).  They come in the order of a walk that takes a node
+    before its children and its children right to left, per node by
+    ascending rule index, and per rule the forward edge before the backward
+    ones.
 
     Reversing a rule that drops variables leaves left-side variables
     unbound; those are filled from the pool and the enumeration is flagged
     incomplete, since no finite pool covers all ground instantiations.
+
+    The tables live as long as the returned function: grades interned as
+    ints, the grade ids of a symbol's arguments by (grade id, symbol), the
+    degree factor by (grade id, rule index), and per (symbol, argument
+    count) the rules that can fire there forward (left-side head) or
+    backward (right-side head, or a variable right side), ascending.
     """
     quantale = trs.quantale
-    edges: list[ConversionEdge] = []
-    incomplete = False
-    unit_grade = cbe_normalize(quantale, CBE_ID)
-    stack = [((), u, unit_grade)]
-    while stack:
-        p, sub, grade = stack.pop()
-        if not isinstance(sub, App):
-            continue
-        for i, cbe in enumerate(trs.signature.arity(sub.symbol)):
-            stack.append((p + (i + 1,), sub.args[i], cbe_compose(quantale, grade, cbe)))
-        for i, rule in enumerate(trs.rules):
-            degree = None
-            env = _match_env(rule.lhs, sub)
-            if env is not None:
-                degree = cbe_apply(grade, rule.degree)
-                edges.append(ConversionEdge(
-                    u, replace_at(u, p, _apply_env(rule.rhs, env)), p, i, True, degree))
-            env = _match_env(rule.rhs, sub)
-            if env is not None:
-                if degree is None:
-                    degree = cbe_apply(grade, rule.degree)
-                unbound = sorted(vars_of(rule.lhs) - env.keys(),
-                                 key=lambda v: (v.name, v.index))
-                if not unbound:
-                    fillings: Iterable[tuple[Term, ...]] = ((),)
-                else:
-                    incomplete = True
-                    fillings = itertools.product(instantiation_pool, repeat=len(unbound))
-                for filling in fillings:
-                    env2 = dict(env)
-                    env2.update(zip(unbound, filling))
-                    edges.append(ConversionEdge(
-                        u, replace_at(u, p, _apply_env(rule.lhs, env2)), p, i, False,
-                        degree))
-    return edges, incomplete
+    arity = trs.signature.arity
+    rules = trs.rules
+    grades = [cbe_normalize(quantale, CBE_ID)]  # grade id -> CBE; 0 is the root's
+    grade_ids = {grades[0]: 0}
+    child_grades: dict[tuple[int, str], tuple[int, ...]] = {}
+    factors: dict[tuple[int, int], QuantaleValue] = {}
+    # key -> [(rule index, rule, forward, backward, unbound variables)]
+    index: dict[tuple[str, int], list[tuple[int, RewriteRule, bool, bool, list[Var]]]] = {}
+    # a successful match binds every pattern variable, so the left-side
+    # variables a reversed step leaves unbound are fixed per rule
+    unbound_of = [sorted(vars_of(rule.lhs) - vars_of(rule.rhs),
+                         key=lambda v: (v.name, v.index)) for rule in rules]
+
+    def argument_grades(grade_id: int, symbol: str) -> tuple[int, ...]:
+        ids = []
+        for cbe in arity(symbol):
+            grade = cbe_compose(quantale, grades[grade_id], cbe)
+            gid = grade_ids.get(grade)
+            if gid is None:
+                gid = grade_ids[grade] = len(grades)
+                grades.append(grade)
+            ids.append(gid)
+        return tuple(ids)
+
+    def rules_at(key: tuple[str, int]) -> list:
+        entries = []
+        for i, rule in enumerate(rules):
+            lhs, rhs = rule.lhs, rule.rhs
+            forward = (lhs.symbol, len(lhs.args)) == key
+            backward = isinstance(rhs, Var) or (rhs.symbol, len(rhs.args)) == key
+            if forward or backward:
+                entries.append((i, rule, forward, backward, unbound_of[i]))
+        return entries
+
+    def factor(grade_id: int, i: int) -> QuantaleValue:
+        degree = factors.get((grade_id, i))
+        if degree is None:
+            degree = factors[grade_id, i] = cbe_apply(grades[grade_id], rules[i].degree)
+        return degree
+
+    def edges(u: Term) -> tuple[list[_RawEdge], bool]:
+        out: list[_RawEdge] = []
+        incomplete = False
+        stack = [((), u, 0)]
+        while stack:
+            p, sub, grade_id = stack.pop()
+            symbol, args = sub.symbol, sub.args
+            arg_grades = child_grades.get((grade_id, symbol))
+            if arg_grades is None:
+                arg_grades = child_grades[grade_id, symbol] = \
+                    argument_grades(grade_id, symbol)
+            for k, arg_grade in enumerate(arg_grades):
+                stack.append((p + (k + 1,), args[k], arg_grade))
+            key = (symbol, len(args))
+            candidates = index.get(key)
+            if candidates is None:
+                candidates = index[key] = rules_at(key)
+            for i, rule, forward, backward, unbound in candidates:
+                if forward:
+                    env = _match_env(rule.lhs, sub)
+                    if env is not None:
+                        r = _apply_env(rule.rhs, env)
+                        out.append((replace_at(u, p, r), p, i, True,
+                                    factor(grade_id, i), sub, r))
+                if backward:
+                    env = _match_env(rule.rhs, sub)
+                    if env is None:
+                        continue
+                    degree = factor(grade_id, i)
+                    envs: Iterable[dict] = (env,)
+                    if unbound:
+                        incomplete = True
+                        envs = ({**env, **dict(zip(unbound, filling))}
+                                for filling in itertools.product(pool, repeat=len(unbound)))
+                    for filled in envs:
+                        r = _apply_env(rule.lhs, filled)
+                        out.append((replace_at(u, p, r), p, i, False, degree, sub, r))
+        return out, incomplete
+
+    return edges
+
+
+def _edges_from(trs: GradedTrs, u: Term,
+                instantiation_pool: tuple[Term, ...]) -> tuple[list[ConversionEdge], bool]:
+    """The symmetric adjacency of a ground term as edge records, in the
+    order the search examines them (see _conversion_edges)."""
+    raw, incomplete = _conversion_edges(trs, tuple(instantiation_pool))(u)
+    return [ConversionEdge(u, v, p, i, forward, degree)
+            for v, p, i, forward, degree, _, _ in raw], incomplete
+
+
+def _shape(t: Term, memo: dict) -> tuple[int, int]:
+    """(term_size, term_depth) of a ground term, memoized per subterm."""
+    got = memo.get(t)
+    if got is None:
+        size, depth = 1, 0
+        for a in t.args:
+            a_size, a_depth = _shape(a, memo)
+            size += a_size
+            if a_depth > depth:
+                depth = a_depth
+        got = memo[t] = (size, depth + 1)
+    return got
 
 
 def _flip(edge: ConversionEdge) -> ConversionEdge:
@@ -193,6 +280,21 @@ def best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
     closes a path, and search stops once no pair of frontier extensions can
     beat the best closed path.  Caps only ever cost optimality, never
     soundness: a returned degree is always witnessed by a real path.
+
+    Every table lives for one call: the edge tables of _conversion_edges
+    and the tensor of an expanded node's degree with an edge degree, by
+    (degree, edge degree).  The caps are checked without re-walking the
+    targets.  A target already scored on the expanding side passed them when
+    it entered (each side settles its start node before it examines any
+    edge, and the start nodes are the only ones that entered unchecked).  A
+    new target v differs from the expanded node u only at the edge
+    position p, where the replaced subterm r0 becomes r, so
+        size(v) = size(u) - size(r0) + size(r),
+    and, while depth(u) is within the cap, every part of v off p is too, so
+        depth(v) > cap  exactly when  len(p) + depth(r) > cap.
+    The shapes come from a memo of u's subterms that lives for one
+    expansion; the targets of a start node deeper than the cap are
+    measured directly.
     """
     if not trs.quantale.totally_ordered:
         raise OracleError("oracle requires a totally ordered quantale")
@@ -205,7 +307,10 @@ def best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
 
     quantale = trs.quantale
     unit = quantale.unit
+    max_depth = bounds.max_term_depth
     size_cap = bounds.size_cap(t, s)
+    edges_of = _conversion_edges(trs, pool)
+    tensors: dict[tuple[QuantaleValue, QuantaleValue], QuantaleValue] = {}
     dist: tuple[dict, dict] = ({t: unit}, {s: unit})
     parent: tuple[dict, dict] = ({}, {})
     settled: tuple[set, set] = (set(), set())
@@ -231,31 +336,43 @@ def best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
     while (heaps[0] or heaps[1]) and not stop_rule():
         side = 0 if heaps[0] and (not heaps[1] or len(heaps[0]) <= len(heaps[1])) else 1
         _, _, u = heapq.heappop(heaps[side])
-        if u in settled[side]:
+        settled_side = settled[side]
+        if u in settled_side:
             continue
-        settled[side].add(u)
-        du = dist[side][u]
+        settled_side.add(u)
+        dist_side, parent_side = dist[side], parent[side]
+        du = dist_side[u]
         tops[side] = du
         if stop_rule():
             break
-        edges, incomplete = _edges_from(trs, u, pool)
+        edges, incomplete = edges_of(u)
         if incomplete:
             capped = True
-        for edge in edges:
-            v = edge.target
-            if v in settled[side]:
+        shapes: dict[Term, tuple[int, int]] = {}
+        u_size, u_depth = _shape(u, shapes)
+        for v, p, i, forward, degree, replaced, replacement in edges:
+            if v in settled_side:
                 continue
-            if term_depth(v) > bounds.max_term_depth or term_size(v) > size_cap:
-                capped = True
-                continue
-            if v not in dist[side] and len(dist[0]) + len(dist[1]) >= bounds.max_nodes:
-                capped = True
-                continue
-            dv = q_tensor(du, edge.degree)
-            known = dist[side].get(v)
+            known = dist_side.get(v)
+            if known is None:  # a known target passed the caps on entry
+                if u_depth > max_depth:  # only a start node can be this deep
+                    over = term_depth(v) > max_depth or term_size(v) > size_cap
+                else:
+                    r_size, r_depth = _shape(replacement, shapes)
+                    over = (len(p) + r_depth > max_depth
+                            or u_size - _shape(replaced, shapes)[0] + r_size > size_cap)
+                if over:
+                    capped = True
+                    continue
+                if len(dist[0]) + len(dist[1]) >= bounds.max_nodes:
+                    capped = True
+                    continue
+            dv = tensors.get((du, degree))
+            if dv is None:
+                dv = tensors[du, degree] = q_tensor(du, degree)
             if known is None or (q_geq(dv, known) and dv != known):
-                dist[side][v] = dv
-                parent[side][v] = edge
+                dist_side[v] = dv
+                parent_side[v] = ConversionEdge(u, v, p, i, forward, degree)
                 consider_meet(v)
                 seq += 1
                 heapq.heappush(heaps[side], (quantale.sort_key(dv), seq, v))
@@ -264,19 +381,19 @@ def best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
         return ConversionOutcome(None, None, optimal=False,
                                  exhausted=not capped, capped=capped)
     degree, meet = best_meet
-    forward: list[ConversionEdge] = []
+    forward_path: list[ConversionEdge] = []
     node = meet
     while node in parent[0]:
         edge = parent[0][node]
-        forward.append(edge)
+        forward_path.append(edge)
         node = edge.source
-    forward.reverse()
+    forward_path.reverse()
     node = meet
     while node in parent[1]:
         edge = parent[1][node]
-        forward.append(_flip(edge))
+        forward_path.append(_flip(edge))
         node = edge.source
-    return ConversionOutcome(degree, forward, optimal=not capped,
+    return ConversionOutcome(degree, forward_path, optimal=not capped,
                              exhausted=False, capped=capped)
 
 

@@ -25,7 +25,6 @@ from .term import (
     TRUE_SYMBOL,
     Var,
     fresh_variant,
-    fun_positions,
     grade_of_position,
     grade_of_var,
     is_ground,
@@ -34,7 +33,6 @@ from .term import (
     iter_subterms,
     max_var_index,
     replace_at,
-    subterm_at,
     vars_of,
 )
 from .unify import match
@@ -123,6 +121,16 @@ class GradedTrs:
         return check_trs(self)
 
     @cached_property
+    def rules_by_head(self) -> dict[tuple[str, int], tuple[tuple[int, RewriteRule], ...]]:
+        """(rule index, rule) pairs keyed by the head symbol and argument
+        count of the left side, in ascending rule order: only these rules
+        can rewrite a subterm with that head."""
+        index: dict[tuple[str, int], list[tuple[int, RewriteRule]]] = {}
+        for i, rule in enumerate(self.rules):
+            index.setdefault((rule.lhs.symbol, len(rule.lhs.args)), []).append((i, rule))
+        return {key: tuple(entries) for key, entries in index.items()}
+
+    @cached_property
     def goal_signature(self) -> Signature:
         """The signature extended with the reserved symbols, under which
         calculus goals (which carry `=?` at the root) are graded."""
@@ -198,13 +206,23 @@ class RewriteStep:
 
 
 def rewrite_steps(trs: GradedTrs, s: Term) -> list[RewriteStep]:
-    """The complete (finite) list of single-step rewrites from s."""
+    """The complete (finite) list of single-step rewrites from s, by
+    position in left-to-right preorder, then by rule index.
+
+    Only rules whose left side has the subterm's head symbol and argument
+    count are tried, each on a fresh variant, so the fresh indices of the
+    rule variables in a step's `subst` are unspecified."""
+    rules_by_head = trs.rules_by_head
     counter = FreshCounter(max_var_index([s]) + 1)
     steps = []
-    for p in fun_positions(s):
-        sub = subterm_at(s, p)
+    for p, sub in iter_subterms(s):
+        if isinstance(sub, Var):
+            continue
+        candidates = rules_by_head.get((sub.symbol, len(sub.args)))
+        if candidates is None:
+            continue
         grade = grade_of_position(trs.signature, s, p)
-        for i, rule in enumerate(trs.rules):
+        for i, rule in candidates:
             lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
             matcher = match(lhs, sub)
             if matcher is None:

@@ -1,7 +1,15 @@
 """The brute-force conversion oracle and the conjecture probe."""
 
+import contextlib
+import heapq
+import io
+import itertools
+import json
 import random
+import sys
 from collections import deque
+from pathlib import Path
+from typing import Iterable, Optional
 
 import pytest
 
@@ -22,18 +30,44 @@ from qnarrow import (
     rewrite_steps,
     verify_solution,
 )
+from qnarrow.cli import main as cli_main
+from qnarrow.frontend import parse_file
 from qnarrow.oracle import (
     CONFIRMED,
     INCONCLUSIVE,
     OracleError,
     REFUTED,
+    ConversionEdge,
+    ConversionOutcome,
     SystemConfig,
+    _apply_env,
     _edges_from,
+    _flip,
+    _match_env,
     random_linear_problem,
     random_system,
+    random_term,
+)
+from qnarrow.quantale import (
+    CBE_ID,
+    QuantaleValue,
+    cbe_apply,
+    cbe_compose,
+    cbe_normalize,
+)
+from qnarrow.term import (
+    Term,
+    is_ground,
+    replace_at,
+    term_depth,
+    term_size,
+    vars_of,
 )
 
 from conftest import S, X, Z, num
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+GOLDEN = Path(__file__).resolve().parent / "golden_oracle.json"
 
 L = Quantale.LAWVERE
 
@@ -160,6 +194,238 @@ def _exhaustive_best(trs, t, s, max_len):
                 nxt.append((edge.target, q_tensor(degree, edge.degree)))
         frontier = nxt
     return best
+
+
+# -- the search as it was before its per-call tables ---------------------------
+
+
+def reference_edges_from(trs: GradedTrs, u: Term,
+                         instantiation_pool: tuple[Term, ...]
+                         ) -> tuple[list[ConversionEdge], bool]:
+    """The former `_edges_from`, its logic kept verbatim."""
+    quantale = trs.quantale
+    edges: list[ConversionEdge] = []
+    incomplete = False
+    unit_grade = cbe_normalize(quantale, CBE_ID)
+    stack = [((), u, unit_grade)]
+    while stack:
+        p, sub, grade = stack.pop()
+        if not isinstance(sub, App):
+            continue
+        for i, cbe in enumerate(trs.signature.arity(sub.symbol)):
+            stack.append((p + (i + 1,), sub.args[i], cbe_compose(quantale, grade, cbe)))
+        for i, rule in enumerate(trs.rules):
+            degree = None
+            env = _match_env(rule.lhs, sub)
+            if env is not None:
+                degree = cbe_apply(grade, rule.degree)
+                edges.append(ConversionEdge(
+                    u, replace_at(u, p, _apply_env(rule.rhs, env)), p, i, True, degree))
+            env = _match_env(rule.rhs, sub)
+            if env is not None:
+                if degree is None:
+                    degree = cbe_apply(grade, rule.degree)
+                unbound = sorted(vars_of(rule.lhs) - env.keys(),
+                                 key=lambda v: (v.name, v.index))
+                if not unbound:
+                    fillings: Iterable[tuple[Term, ...]] = ((),)
+                else:
+                    incomplete = True
+                    fillings = itertools.product(instantiation_pool, repeat=len(unbound))
+                for filling in fillings:
+                    env2 = dict(env)
+                    env2.update(zip(unbound, filling))
+                    edges.append(ConversionEdge(
+                        u, replace_at(u, p, _apply_env(rule.lhs, env2)), p, i, False,
+                        degree))
+    return edges, incomplete
+
+
+def reference_best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
+                                     bounds: OracleBounds = OracleBounds(),
+                                     instantiation_pool: Optional[Iterable[Term]] = None
+                                     ) -> ConversionOutcome:
+    """The former `best_conversion_degree`, its logic kept verbatim: every
+    target re-measured for the caps, every edge weighed from scratch."""
+    if not trs.quantale.totally_ordered:
+        raise OracleError("oracle requires a totally ordered quantale")
+    if not is_ground(t) or not is_ground(s):
+        raise OracleError("oracle works on ground terms")
+    if instantiation_pool is None:
+        pool = tuple(App(c) for c in trs.signature.constants())
+    else:
+        pool = tuple(instantiation_pool)
+
+    quantale = trs.quantale
+    unit = quantale.unit
+    size_cap = bounds.size_cap(t, s)
+    dist: tuple[dict, dict] = ({t: unit}, {s: unit})
+    parent: tuple[dict, dict] = ({}, {})
+    settled: tuple[set, set] = (set(), set())
+    heaps = ([(quantale.sort_key(unit), 0, t)], [(quantale.sort_key(unit), 0, s)])
+    tops = [unit, unit]
+    seq = 0
+    capped = False
+    best_meet: Optional[tuple[QuantaleValue, Term]] = None
+
+    def consider_meet(node: Term) -> None:
+        nonlocal best_meet
+        if node in dist[0] and node in dist[1]:
+            degree = q_tensor(dist[0][node], dist[1][node])
+            if best_meet is None or (q_geq(degree, best_meet[0])
+                                     and degree != best_meet[0]):
+                best_meet = (degree, node)
+
+    def stop_rule() -> bool:
+        return best_meet is not None and q_geq(
+            best_meet[0], q_tensor(tops[0], tops[1]))
+
+    consider_meet(t)
+    while (heaps[0] or heaps[1]) and not stop_rule():
+        side = 0 if heaps[0] and (not heaps[1] or len(heaps[0]) <= len(heaps[1])) else 1
+        _, _, u = heapq.heappop(heaps[side])
+        if u in settled[side]:
+            continue
+        settled[side].add(u)
+        du = dist[side][u]
+        tops[side] = du
+        if stop_rule():
+            break
+        edges, incomplete = reference_edges_from(trs, u, pool)
+        if incomplete:
+            capped = True
+        for edge in edges:
+            v = edge.target
+            if v in settled[side]:
+                continue
+            if term_depth(v) > bounds.max_term_depth or term_size(v) > size_cap:
+                capped = True
+                continue
+            if v not in dist[side] and len(dist[0]) + len(dist[1]) >= bounds.max_nodes:
+                capped = True
+                continue
+            dv = q_tensor(du, edge.degree)
+            known = dist[side].get(v)
+            if known is None or (q_geq(dv, known) and dv != known):
+                dist[side][v] = dv
+                parent[side][v] = edge
+                consider_meet(v)
+                seq += 1
+                heapq.heappush(heaps[side], (quantale.sort_key(dv), seq, v))
+
+    if best_meet is None:
+        return ConversionOutcome(None, None, optimal=False,
+                                 exhausted=not capped, capped=capped)
+    degree, meet = best_meet
+    forward: list[ConversionEdge] = []
+    node = meet
+    while node in parent[0]:
+        edge = parent[0][node]
+        forward.append(edge)
+        node = edge.source
+    forward.reverse()
+    node = meet
+    while node in parent[1]:
+        edge = parent[1][node]
+        forward.append(_flip(edge))
+        node = edge.source
+    return ConversionOutcome(degree, forward, optimal=not capped,
+                             exhausted=False, capped=capped)
+
+
+def ground_pairs(rng, trs, count):
+    """Random ground pairs, half of them a few conversion edges apart so
+    that the two searches meet."""
+    sig = trs.signature
+    pool = tuple(App(c) for c in sig.constants())
+    pairs = []
+    for _ in range(count):
+        t = random_term(rng, sig, [], rng.randint(1, 3))
+        if rng.random() < 0.5:
+            s = random_term(rng, sig, [], rng.randint(1, 3))
+        else:
+            s = t
+            for _ in range(rng.randint(2, 5)):
+                edges, _ = reference_edges_from(trs, s, pool)
+                if edges:
+                    s = rng.choice(edges).target
+        pairs.append((t, s))
+    return pairs
+
+
+# name -> bounds; each family makes its own cap bind somewhere below
+REFERENCE_BOUNDS = {
+    "nodes": OracleBounds(max_nodes=300),
+    "depth": OracleBounds(max_term_depth=3, max_nodes=300),
+    "size": OracleBounds(max_term_size=5, max_nodes=300),
+    "budget": OracleBounds(max_nodes=12),
+    # most start terms are deeper than this; their targets are measured
+    # directly rather than from the start node's shape
+    "deep-start": OracleBounds(max_term_depth=2, max_nodes=300),
+}
+
+
+class TestReferenceSearch:
+    """The per-call tables and the cap arithmetic must leave every outcome
+    as the former search computed it: degree, flags and every path edge."""
+
+    def compare(self, trs, pairs, capped_by, pools=(None,)):
+        for t, s in pairs:
+            for name, bounds in REFERENCE_BOUNDS.items():
+                for pool in pools:
+                    new = best_conversion_degree(trs, t, s, bounds, pool)
+                    old = reference_best_conversion_degree(trs, t, s, bounds, pool)
+                    assert new == old, (trs.rules, t, s, name, pool)
+                    capped_by[name] += new.capped
+                    capped_by["met"] += new.degree is not None
+
+    def test_edges_in_reference_order(self):
+        """Heap tie-breaks and witness paths hang on the edge order, so the
+        adjacency itself must match the former one edge for edge."""
+        rng = random.Random(60)
+        systems = [parse_file(str(path)).trs for path in sorted(DEMOS.glob("*.gtrs"))]
+        for trial in range(30):
+            cfg = SystemConfig(quantale=list(Quantale)[trial % 5], max_rules=3,
+                               n_constants=2, nontrivial_cbes=True,
+                               right_ground=trial % 2 == 0)
+            systems.append(random_system(rng, cfg))
+        filled = 0
+        for trs in systems:
+            consts = tuple(App(c) for c in trs.signature.constants())
+            for pool in (consts, consts[::-1] + (consts[0],)):
+                for t, s in ground_pairs(rng, trs, 4):
+                    for u in (t, s):
+                        edges, incomplete = _edges_from(trs, u, pool)
+                        assert (edges, incomplete) == reference_edges_from(trs, u, pool)
+                        filled += incomplete
+        assert filled
+
+    def test_demo_systems(self):
+        rng = random.Random(61)
+        capped_by = dict.fromkeys(list(REFERENCE_BOUNDS) + ["met"], 0)
+        for path in sorted(DEMOS.glob("*.gtrs")):
+            trs = parse_file(str(path)).trs
+            self.compare(trs, ground_pairs(rng, trs, 5), capped_by)
+        assert all(capped_by.values()), capped_by
+
+    def test_random_systems(self):
+        """All five quantales, non-identity sensitivities, and rules that
+        drop variables (so reversed steps are filled from the pool, also
+        from a pool with a non-constant term)."""
+        rng = random.Random(62)
+        capped_by = dict.fromkeys(list(REFERENCE_BOUNDS) + ["met"], 0)
+        filled = 0
+        for trial in range(20):
+            q = list(Quantale)[trial % 5]
+            cfg = SystemConfig(quantale=q, max_rules=3, n_constants=2, n_unary=1,
+                               n_binary=1, nontrivial_cbes=True,
+                               right_ground=trial % 4 == 0)
+            trs = random_system(rng, cfg)
+            consts = tuple(App(c) for c in trs.signature.constants())
+            pools = (None, consts[:1] + (App("f0", consts[:1]),))
+            filled += any(vars_of(r.lhs) - vars_of(r.rhs) for r in trs.rules)
+            self.compare(trs, ground_pairs(rng, trs, 3), capped_by, pools)
+        assert filled and all(capped_by.values()), (filled, capped_by)
 
 
 class TestVerify:
@@ -295,3 +561,46 @@ class TestGenerator:
             trs = random_system(rng, cfg)
             t, s = random_linear_problem(rng, trs)
             assert is_linear(App("", (t, s)))
+
+
+# -- command-line output on the demo files ------------------------------------
+
+# keeps the verified Peano search to about a second
+GOLDEN_VERIFY_STEPS = 4
+
+
+def golden_oracle_keys():
+    return [f"{path.stem}{flags}" for path in sorted(DEMOS.glob("*.gtrs"))
+            for flags in ("", f" --verify --max-steps {GOLDEN_VERIFY_STEPS}")]
+
+
+def oracle_cli_output(key):
+    """Exit code and printed text of `qnarrow oracle FILE [flags]`."""
+    stem, *flags = key.split(" ")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(["oracle", str(DEMOS / f"{stem}.gtrs"), *flags])
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+# a missing file fails test_covers_every_demo_file
+RECORDED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+
+
+class TestOracleCliGolden:
+    """Oracle output, rankings and verified witness paths alike, recorded
+    from the search before its per-call tables.  Regenerate (only for a
+    change meant to alter the output) with
+    `PYTHONPATH=src python tests/test_oracle.py --write-golden`."""
+
+    def test_covers_every_demo_file(self):
+        assert sorted(RECORDED) == sorted(golden_oracle_keys())
+
+    @pytest.mark.parametrize("key", sorted(RECORDED))
+    def test_output(self, key):
+        assert oracle_cli_output(key) == RECORDED[key]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write-golden"]:
+    GOLDEN.write_text(json.dumps({key: oracle_cli_output(key) for key in golden_oracle_keys()},
+                                 indent=1, sort_keys=True) + "\n")

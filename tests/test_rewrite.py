@@ -1,6 +1,7 @@
 """The graded rewrite relation, attribute checks, search, and joinability."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,10 +23,21 @@ from qnarrow import (
     rewrite_search,
     rewrite_steps,
 )
-from qnarrow.rewrite import TrsError
-from qnarrow.oracle import random_term
+from qnarrow import CBE_ID, CbeScale, Var, match, parse_file, replace_at, vars_of
+from qnarrow.rewrite import RewriteStep, TrsError
+from qnarrow.oracle import SystemConfig, random_system, random_term
+from qnarrow.term import (
+    EQ_SYMBOL,
+    FreshCounter,
+    fresh_variant,
+    fun_positions,
+    max_var_index,
+    subterm_at,
+)
 
 from conftest import S, X, Y, Z, num, plus
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 L = Quantale.LAWVERE
 
@@ -114,6 +126,124 @@ class TestRewriteSteps:
             inst_steps = {(st.position, st.rule_index, st.degree)
                           for st in rewrite_steps(peano, instance)}
             assert steps <= inst_steps
+
+
+def reference_rewrite_steps(trs, s):
+    """rewrite_steps as it was before the rule index (its logic kept
+    verbatim): every rule on a fresh variant at every function position."""
+    counter = FreshCounter(max_var_index([s]) + 1)
+    steps = []
+    for p in fun_positions(s):
+        sub = subterm_at(s, p)
+        grade = grade_of_position(trs.signature, s, p)
+        for i, rule in enumerate(trs.rules):
+            lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
+            matcher = match(lhs, sub)
+            if matcher is None:
+                continue
+            steps.append(RewriteStep(
+                position=p,
+                rule_index=i,
+                subst=matcher,
+                degree=cbe_apply(grade, rule.degree),
+                result=replace_at(s, p, matcher.apply(rhs)),
+            ))
+    return steps
+
+
+def step_view(step, subject):
+    """A step with the fresh indices of its rule variables forgotten: the
+    substitution is keyed by rule-variable name."""
+    domain = step.subst.domain()
+    # fresh variables never capture a variable of the subject
+    assert all(x.index > max_var_index([subject]) for x in domain)
+    by_name = {x.name: t for x, t in step.subst.items()}
+    assert len(by_name) == len(domain)
+    return step.position, step.rule_index, step.degree, step.result, by_name
+
+
+def instantiate(t, env):
+    if isinstance(t, Var):
+        return env.get(t, t)
+    return App(t.symbol, tuple(instantiate(a, env) for a in t.args))
+
+
+def subjects_for(rng, trs, count):
+    """Random terms over the rule variables' own names (and an indexed
+    variable), the rules' sides themselves, and instances of the left sides
+    embedded in random contexts, so that most subjects have redexes."""
+    sig = trs.signature
+    names = sorted({x.name for r in trs.rules for x in vars_of(r.lhs)} | {"x", "y"})
+    variables = [Var(n) for n in names] + [Var("x", 2)]
+    out = [side for r in trs.rules for side in (r.lhs, r.rhs)]
+    for _ in range(count):
+        out.append(random_term(rng, sig, variables, 3))
+        rule = rng.choice(trs.rules)
+        # simultaneous, so a rule variable may occur in its own image
+        redex = instantiate(rule.lhs, {x: random_term(rng, sig, variables, 2)
+                                       for x in vars_of(rule.lhs)})
+        context = random_term(rng, sig, variables, 2)
+        spots = fun_positions(context)
+        out.append(replace_at(context, rng.choice(spots), redex) if spots else redex)
+    return out
+
+
+class TestRewriteStepsReference:
+    """The rule index must reproduce the full scan step for step."""
+
+    def assert_same_steps(self, trs, subjects):
+        found = 0
+        for t in subjects:
+            new = [step_view(st, t) for st in rewrite_steps(trs, t)]
+            old = [step_view(st, t) for st in reference_rewrite_steps(trs, t)]
+            assert new == old, (trs.rules, t)
+            found += len(new)
+        assert found > 0
+
+    def test_fixture_systems(self, peano, cubic, chain, unbalanced, innermost_system):
+        rng = random.Random(11)
+        for trs in (peano, cubic, chain, unbalanced, innermost_system):
+            subjects = subjects_for(rng, trs, 30)
+            self.assert_same_steps(trs, subjects)
+            # the extended system's join rule x =? x -> true is non-linear
+            pairs = [App(EQ_SYMBOL, (a, b)) for a, b in zip(subjects, subjects[1:])]
+            pairs += [App(EQ_SYMBOL, (a, a)) for a in subjects[:10]]
+            self.assert_same_steps(extend_trs(trs), pairs)
+
+    def test_demo_systems(self):
+        rng = random.Random(12)
+        for path in sorted(DEMOS.glob("*.gtrs")):
+            pf = parse_file(str(path))
+            subjects = subjects_for(rng, pf.trs, 30)
+            subjects += [side for problem in pf.problems
+                         for side in (problem.left, problem.right)]
+            self.assert_same_steps(pf.trs, subjects)
+
+    def test_random_systems(self):
+        """All five quantales, non-identity sensitivities, and left sides
+        that may repeat a variable."""
+        rng = random.Random(13)
+        for trial in range(60):
+            q = list(Quantale)[trial % 5]
+            cfg = SystemConfig(quantale=q, max_rules=4, n_constants=2, n_unary=1,
+                               n_binary=2, nontrivial_cbes=True)
+            trs = random_system(rng, cfg)
+            self.assert_same_steps(trs, subjects_for(rng, trs, 8))
+
+    def test_non_linear_left_sides(self):
+        sig = Signature(L, {"a": (), "b": (), "f": (CBE_ID, CBE_ID), "g": (CbeScale(2),)})
+        f = lambda s, t: App("f", (s, t))
+        g = lambda t: App("g", (t,))
+        x0, y0 = Var("x"), Var("y")
+        trs = GradedTrs(sig, (
+            RewriteRule(L.degree(1), f(x0, x0), x0),
+            RewriteRule(L.degree(2), f(x0, g(x0)), g(f(x0, x0))),
+            RewriteRule(L.degree(0), g(y0), f(y0, App("a"))),
+        ))
+        a, b = App("a"), App("b")
+        subjects = [f(X, X), f(X, Y), f(Y, g(Y)), g(f(X, X)), f(f(X, X), f(X, X)),
+                    f(Var("x", 5), g(Var("x", 5))), f(a, a), f(a, b), g(f(a, g(a)))]
+        self.assert_same_steps(trs, subjects)
 
 
 class TestInnermost:
