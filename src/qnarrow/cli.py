@@ -1,7 +1,7 @@
 """Command-line driver for rule files.
 
 Exit codes: 0 solutions found / checks pass, 1 nothing found or a check
-refuted, 2 usage or parse errors.
+refuted, 2 usage, parse or input errors (terms nested too deep included).
 """
 
 from __future__ import annotations
@@ -20,15 +20,16 @@ from .frontend import (
     render_solution,
     render_trace,
 )
-from .narrow import derivations, solve
+from .narrow import NarrowError, derivations, solve
 from .oracle import (
     CONFIRMED,
     INCONCLUSIVE,
     OracleBounds,
+    OracleError,
     enumerate_best_unifiers,
     verify_solution,
 )
-from .rewrite import check_trs, innermost_rewrite_steps, rewrite_search, rewrite_steps
+from .rewrite import TrsError, check_trs, innermost_rewrite_steps, rewrite_search, rewrite_steps
 from .term import App, position_to_str, vars_of
 
 EXIT_FOUND = 0
@@ -79,6 +80,10 @@ def cmd_solve(args) -> int:
                 "solutions": [encode(sol) for sol in result.solutions],
                 "complete": result.complete,
                 "stopped": result.stopped,
+                "configs_expanded": result.configs_expanded,
+                "successors_built": result.successors_built,
+                "duplicates_merged": result.duplicates_merged,
+                "commuted_skipped": result.commuted_skipped,
             })
             continue
         header = f"problem {problem.left} =? {problem.right}"
@@ -242,10 +247,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except GtrsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: terms are nested too deeply", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (GtrsError, TrsError, NarrowError, OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

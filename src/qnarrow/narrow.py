@@ -333,6 +333,9 @@ class SolveResult:
     complete: bool
     stopped: str  # "exhausted" | "depth-limit" | "solution-limit" | "config-limit"
     configs_expanded: int = 0
+    successors_built: int = 0  # nodes the successor functions returned
+    duplicates_merged: int = 0  # of those, dropped as already seen
+    commuted_skipped: int = 0  # LP steps left to their commuted order
 
 
 STRATEGIES = ("eager-su", "lazy")
@@ -369,6 +372,35 @@ ORDERS = ("bfs", "iddfs", "best-first")
 # which is by `str` of each (unresolved) equation, i.e. the dataclass reprs
 # of its terms; those reprs are therefore part of the state identity, and
 # changing them changes which states the search merges.
+#
+# Independent LP steps are generated in one order only.  Two LP steps at
+# disjoint positions commute: the goal is never instantiated, a step at p
+# leaves the subterm and the grade at a disjoint q unchanged, and every
+# quantale is commutative, so both orders reach the same goal, constraints
+# and degree, with bindings equal up to renaming.  A node whose last rule
+# was an LP at p (eager: the LP of the LP+SU pair; lazy: only when that LP
+# is the last frame, as SU and Con reset it) therefore skips every LP
+# candidate at a q disjoint from p that `lp_candidates` yields before p.
+# That walk is preorder with children taken right to left, so q comes first
+# when q > p as tuples and p is not a prefix of q (`_commutes_before`).
+# This is exact:
+#   - any derivation becomes one without a skipped adjacent pair, of equal
+#     length and final state, by swapping such pairs; each swap removes one
+#     inverted disjoint pair.  Its prefixes pass the threshold (the tensor
+#     is deflationary) and unify (their constraints are a subset of the
+#     final ones), so the canonical derivation is one the search may take;
+#   - `seen` merges states reached along different histories, so the node
+#     kept for a key may skip a step that a dropped one would take.  Each
+#     seen entry records the LP position its node was queued with (ROOT when
+#     unrestricted).  A dropped arrival below the bound with another
+#     position is queued for a redo, which builds just the LP steps the kept
+#     position skips and the arrival's does not, and the entry takes the
+#     arrival's position.  So every arrival's unskipped steps are taken from
+#     a node of its key at a depth no greater than its own, which carries
+#     the canonical derivation step by step to every state the unrestricted
+#     search reaches.  A redo is not counted as an expanded configuration;
+#   - the depth-cut probe in `run` stays unrestricted: a commuted step at the
+#     bound still marks a branch the bound cut.
 
 
 @dataclass(frozen=True)
@@ -493,6 +525,12 @@ def _key_function(problem_vars: frozenset[Var]):
 _UNSEEN = object()
 
 
+def _commutes_before(q: Position, p: Position) -> bool:
+    """Whether q is disjoint from p and comes before it in `lp_candidates`
+    order; ROOT as p is a prefix of every position, so it blocks nothing."""
+    return q > p and q[:len(p)] != p
+
+
 def solve(trs: GradedTrs, t: Term, s: Term,
           threshold: Optional[QuantaleValue] = None,
           strategy: str = "eager-su",
@@ -614,13 +652,26 @@ def solve(trs: GradedTrs, t: Term, s: Term,
 
     # A strategy is a successor function (LP only when `lp`, that is below
     # the step bound) and a finisher that emits what a popped node solves.
+    # A successor comes with its cost in LP steps and the position of its LP,
+    # or ROOT.  `after` is the LP position the node was queued with; LP steps
+    # that commute before it are skipped.  A `redo` position asks only for
+    # the LP steps an earlier expansion of the node's key skipped after that
+    # position.
 
-    def eager_successors(node: _Node, lp: bool) -> list[tuple["_Node", int]]:
+    def eager_successors(node: _Node, lp: bool, after: Position,
+                         redo: Optional[Position]) -> list[tuple["_Node", int, Position]]:
+        nonlocal skipped
         out = []
         for p, i, rule, sub, factor in (lp_candidates(node) if lp else ()):
             new_degree = step(node.degree, factor)
             if new_degree is None:
                 continue
+            if after and _commutes_before(p, after):
+                if redo is None:
+                    skipped += 1
+                continue
+            if redo is not None and not _commutes_before(p, redo):
+                continue  # an earlier expansion of this key built it
             lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
             new_bindings = dict(node.bindings)
             if not unifiable(((lhs, sub),), new_bindings):
@@ -631,15 +682,23 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                                node.bindings, new_degree)
             nxt = nxt.advance("SU", None, None, goal, frozenset(),
                               new_bindings, new_degree)
-            out.append((nxt, 1))
+            out.append((nxt, 1, p))
         return out
 
-    def lazy_successors(node: _Node, lp: bool) -> list[tuple["_Node", int]]:
+    def lazy_successors(node: _Node, lp: bool, after: Position,
+                        redo: Optional[Position]) -> list[tuple["_Node", int, Position]]:
+        nonlocal skipped
         out = []
         for p, i, rule, sub, factor in (lp_candidates(node) if lp else ()):
             new_degree = step(node.degree, factor)
             if new_degree is None:
                 continue
+            if after and _commutes_before(p, after):
+                if redo is None:
+                    skipped += 1
+                continue
+            if redo is not None and not _commutes_before(p, redo):
+                continue  # an earlier expansion of this key built it
             lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
             equation = (lhs, resolve(sub, node.bindings))
             solved = dict(node.solved or {})
@@ -647,14 +706,16 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                 continue  # Cla fires on this configuration
             out.append((node.advance("LP", p, i, replace_at(node.goal, p, rhs),
                                      node.constraints | {equation}, node.bindings,
-                                     new_degree, solved), 1))
+                                     new_degree, solved), 1, p))
+        if redo is not None:
+            return out
         if node.constraints:
             rho = mgu(node.constraints)
             if isinstance(rho, Substitution):
                 new_bindings = dict(node.bindings)
                 new_bindings.update(rho.items())
                 out.append((node.advance("SU", None, None, node.goal, frozenset(),
-                                         new_bindings, node.degree), 0))
+                                         new_bindings, node.degree), 0, ROOT))
         e = node.goal
         if e != TRUE_TERM and _goal_is_equation(e):
             equation = (resolve(e.args[0], node.bindings), resolve(e.args[1], node.bindings))
@@ -662,11 +723,11 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             if unifiable((equation,), solved):
                 out.append((node.advance("Con", None, None, TRUE_TERM,
                                          node.constraints | {equation},
-                                         node.bindings, node.degree, solved), 0))
+                                         node.bindings, node.degree, solved), 0, ROOT))
         return out
 
     emitted: dict[object, Solution] = {}
-    expanded = 0
+    expanded = built = merged = skipped = 0
     depth_cut = False
     stopped = "exhausted"
 
@@ -706,51 +767,59 @@ def solve(trs: GradedTrs, t: Term, s: Term,
         successors, finish = lazy_successors, lazy_finish
 
     def run(order_name: str, bound: int) -> None:
-        nonlocal expanded, depth_cut, stopped
-        seen: dict[object, int] = {node_key(start): 0}
+        nonlocal expanded, depth_cut, stopped, built, merged
+        # key -> (least depth, LP position its node was queued with); a
+        # queued item is (node, depth, that position, redo position or None)
+        seen: dict[object, tuple[int, Position]] = {node_key(start): (0, ROOT)}
         if order_name == "bfs":
-            queue = deque([(start, 0)])
+            queue = deque([(start, 0, ROOT, None)])
             pop = queue.popleft
             push = queue.append
         else:  # best-first on the accumulated degree
             seq = 0
-            heap = [(quantale.sort_key(start.degree), 0, start, 0)]
+            heap = [(quantale.sort_key(start.degree), 0, start, 0, ROOT, None)]
 
             def pop():
-                _, _, node, depth = heapq.heappop(heap)
-                return node, depth
+                return heapq.heappop(heap)[2:]
 
             def push(item):
                 nonlocal seq
-                node, depth = item
                 seq += 1
-                heapq.heappush(heap, (quantale.sort_key(node.degree), seq, node, depth))
+                heapq.heappush(heap, (quantale.sort_key(item[0].degree), seq) + item)
 
             queue = heap
         while queue:
             if max_configs is not None and expanded >= max_configs:
                 stopped = "config-limit"
                 return
-            node, depth = pop()
-            expanded += 1
-            finish(node)
-            if max_solutions is not None and len(emitted) >= max_solutions:
-                stopped = "solution-limit"
-                return
+            node, depth, after, redo = pop()
             lp = depth < bound
-            # at the bound LP successors would overrun it: skip building them,
-            # but record whether the bound cut a branch where LP could fire
-            # (an over-approximation: a compatible redex/rule pair may yet
-            # fail unification)
-            if not lp and not depth_cut and next(lp_candidates(node), None) is not None:
-                depth_cut = True
-            for nxt, cost in successors(node, lp):
+            if redo is None:
+                expanded += 1
+                finish(node)
+                if max_solutions is not None and len(emitted) >= max_solutions:
+                    stopped = "solution-limit"
+                    return
+                # at the bound LP successors would overrun it: skip building
+                # them, but record whether the bound cut a branch where LP
+                # could fire (an over-approximation: a compatible redex/rule
+                # pair may yet fail unification)
+                if not lp and not depth_cut and next(lp_candidates(node), None) is not None:
+                    depth_cut = True
+            for nxt, cost, last in successors(node, lp, after, redo):
+                built += 1
                 new_depth = depth + cost
                 key = node_key(nxt)
-                if seen.get(key, bound + 1) <= new_depth:
+                kept = seen.get(key)
+                if kept is not None and kept[0] <= new_depth:
+                    merged += 1
+                    if kept[1] and kept[1] != last and new_depth < bound:
+                        # the kept node may skip a step this one would take
+                        seen[key] = (kept[0], last)
+                        push((nxt, new_depth, last, kept[1]))
                     continue
-                seen[key] = new_depth
-                push((nxt, new_depth))
+                seen[key] = (new_depth, last)
+                push((nxt, new_depth, last, None))
 
     if order == "iddfs":
         # iterative deepening over the LP-step bound; each round is explored
@@ -777,7 +846,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     if stopped == "exhausted" and depth_cut:
         stopped = "depth-limit"
     complete = stopped == "exhausted"
-    return SolveResult(solutions, complete, stopped, expanded)
+    return SolveResult(solutions, complete, stopped, expanded, built, merged, skipped)
 
 
 # ---------------------------------------------------------------------------

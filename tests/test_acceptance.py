@@ -74,14 +74,13 @@ def test_criterion_1_peano_reproduction(peano):
     with criterion(1, "Peano reproduction"):
         t = plus(X, S(Z))
         s = plus(plus(X, X), X)
-        started = time.perf_counter()
         result = solve(peano, t, s, threshold=L.degree(1), max_steps=12)
-        elapsed = time.perf_counter() - started
         assert solution_set(result) == {
             (Substitution({X: Z}), L.degree(1)),
             (Substitution({X: S(Z)}), L.degree(1)),
         }
-        assert elapsed < 1.0, f"took {elapsed:.2f}s"
+        # a bound on the work done, exact where wall-clock time is not
+        assert result.configs_expanded <= 2692
         # and through the command line
         code = main(["solve", str(DEMOS / "peano.gtrs"), "--max-steps", "12"])
         assert code == 0

@@ -200,6 +200,9 @@ class TestCli:
         assert problem["solutions"] == [
             {"substitution": {"x": "d"}, "degree": "4", "dominated": False}]
         assert problem["complete"] is True
+        assert problem["configs_expanded"] >= 1
+        assert problem["successors_built"] >= problem["duplicates_merged"] >= 0
+        assert problem["commuted_skipped"] >= 0
 
     def test_solve_trace_flag(self, capsys):
         code = main(["solve", str(DEMOS / "unbalanced.gtrs"), "--trace"])
@@ -224,6 +227,18 @@ class TestCli:
         path.write_text("quantale lawvere\nrule 1 : g(a) -> a\n")
         assert main(["solve", str(path)]) == 2
         assert "unknown symbol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["solve"], ["oracle", "--verify"]])
+    def test_deep_terms_exit_two(self, command, tmp_path, capsys):
+        """A term nested 300 deep is input the library cannot render, not
+        a search that found nothing."""
+        path = tmp_path / "deep.gtrs"
+        path.write_text("quantale lawvere\nvar x\nfun Z/0\nfun S/1\nfun f/1\n"
+                        "rule 1 : f(x) -> x\n"
+                        f"solve x =? {'S(' * 300}Z{')' * 300}\n")
+        assert main([command[0], str(path)] + command[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_rewrite_innermost(self, capsys):
         code = main(["rewrite", str(DEMOS / "innermost.gtrs"),

@@ -1,12 +1,18 @@
 """Narrowing, the calculus, and the solver."""
 
+from __future__ import annotations
+
 import hashlib
+import heapq
 import json
 import random
 import sys
+from collections import deque
 from pathlib import Path
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnarrow import (
     App,
@@ -24,6 +30,7 @@ from qnarrow import (
     iterate_narrowing,
     narrowing_steps,
     narrowing_solutions,
+    parse,
     parse_file,
     q_leq,
     solve,
@@ -33,9 +40,36 @@ from qnarrow import (
 from qnarrow.narrow import (
     NarrowingDerivation,
     NonBasicStepError,
+    ORDERS,
+    STRATEGIES,
+    Solution,
+    SolveResult,
     TRUE_TERM,
+    _Node,
+    _UNSEEN,
+    _goal_is_equation,
+    _key_function,
+    _node_trace,
     canonical_subst,
 )
+from qnarrow.quantale import (
+    CBE_ID,
+    QuantaleValue,
+    cbe_apply,
+    cbe_compose,
+    cbe_normalize,
+    q_tensor,
+)
+from qnarrow.rewrite import GradedTrs, RewriteRule, TrsError, check_terms
+from qnarrow.term import (
+    EQ_SYMBOL,
+    ROOT,
+    Term,
+    fresh_variant,
+    max_var_index,
+    replace_at,
+)
+from qnarrow.unify import Bindings, mgu, resolve, resolve_all, unifiable
 from qnarrow.oracle import SystemConfig, random_system, random_linear_problem
 
 from conftest import S, X, Z, plus
@@ -673,6 +707,393 @@ class TestStateKeys:
                         (strategy, order, "merges states the reference keeps apart")
                     assert to_new.setdefault(reference, new) == new, \
                         (strategy, order, "splits a state the reference merges")
+
+
+# -- the engine before commuted LP steps were skipped --------------------------
+
+
+def reference_solve(trs: GradedTrs, t: Term, s: Term,
+                    threshold: Optional[QuantaleValue] = None,
+                    strategy: str = "eager-su",
+                    order: str = "bfs",
+                    max_steps: int = 10,
+                    max_solutions: Optional[int] = None,
+                    max_configs: Optional[int] = None) -> SolveResult:
+    """Search calculus derivations from  t =? s; {}; identity; unit.
+
+    Every configuration reaching goal true with no constraints is emitted as
+    a solution (substitution restricted to the problem variables).  The
+    strategy schedules the four rules: "eager-su" runs SU right after every
+    LP and finishes a goal equation by Con then SU; "lazy" applies each rule
+    as a step of its own, so constraints accumulate until SU discharges
+    them.  A threshold prunes configurations whose degree falls below it;
+    max_steps bounds the number of LP applications on a branch.
+    Configurations whose constraint set has no unifier are dropped the
+    moment they arise (the clash rule cannot be outrun: constraint sets only
+    grow).  Problem terms must use declared symbols with their declared
+    argument counts and no reserved symbol, or TrsError is raised.
+    """
+    if trs.signature.is_extended:
+        raise TrsError("solve expects the unextended system")
+    check_terms(trs.signature, (t, s), "problem term")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if order not in ORDERS:
+        raise ValueError(f"unknown order {order!r}")
+    if order == "best-first" and not trs.quantale.totally_ordered:
+        order = "bfs"
+
+    quantale = trs.quantale
+    problem_vars = frozenset(vars_of(t) | vars_of(s))
+    counter = FreshCounter(
+        max_var_index([t, s] + [x for r in trs.rules for x in (r.lhs, r.rhs)]) + 1)
+    start = _Node(App(EQ_SYMBOL, (t, s)), frozenset(), {}, quantale.unit)
+    node_key = _key_function(problem_vars)
+
+    goal_sig = trs.goal_signature
+    grades = [cbe_normalize(quantale, CBE_ID)]  # grade id -> CBE; 0 is the root's
+    grade_ids = {grades[0]: 0}
+    child_grades: dict[tuple[int, str], tuple[int, ...]] = {}
+    factors: dict[tuple[int, int], QuantaleValue] = {}
+    steps: dict[tuple[QuantaleValue, QuantaleValue], Optional[QuantaleValue]] = {}
+    degrees = {start.degree: start.degree}  # one object per degree value
+    rules_by_head: dict[str, list[tuple[int, RewriteRule]]] = {}
+    for i, rule in enumerate(trs.rules):
+        rules_by_head.setdefault(rule.lhs.symbol, []).append((i, rule))
+
+    def argument_grades(grade_id: int, symbol: str) -> tuple[int, ...]:
+        ids = []
+        for cbe in goal_sig.arity(symbol):
+            grade = cbe_compose(quantale, grades[grade_id], cbe)
+            gid = grade_ids.get(grade)
+            if gid is None:
+                gid = grade_ids[grade] = len(grades)
+                grades.append(grade)
+            ids.append(gid)
+        return tuple(ids)
+
+    def step(degree: QuantaleValue, factor: QuantaleValue) -> Optional[QuantaleValue]:
+        """The degree after an LP step with this factor, or None when it
+        falls below the threshold."""
+        new_degree = steps.get((degree, factor), _UNSEEN)
+        if new_degree is _UNSEEN:
+            new_degree = q_tensor(degree, factor)
+            if threshold is not None and not q_leq(threshold, new_degree):
+                new_degree = None
+            else:
+                new_degree = degrees.setdefault(new_degree, new_degree)
+            steps[degree, factor] = new_degree
+        return new_degree
+
+    def compatible(pattern: Term, t: Term, bindings: Bindings) -> bool:
+        """Cheap refutation test: False means no instantiation can unify."""
+        if isinstance(pattern, Var):
+            return True
+        while isinstance(t, Var):
+            nxt = bindings.get(t)
+            if nxt is None:
+                return True
+            t = nxt
+        if pattern.symbol != t.symbol:
+            return False
+        for a, b in zip(pattern.args, t.args):
+            if not compatible(a, b, bindings):
+                return False
+        return True
+
+    def lp_candidates(node: _Node):
+        """(position, rule index, rule, redex, degree factor); the position
+        grade is accumulated along the traversal.  It draws no fresh
+        variant (fresh indices decide the key's constraint order), so the
+        depth-cut probe in run can call it without altering the search."""
+        e = node.goal
+        if e == TRUE_TERM:
+            return
+        bindings = node.bindings
+        stack = [(ROOT, e, 0)]
+        while stack:
+            p, sub, grade_id = stack.pop()
+            args = sub.args
+            if args:
+                arg_grades = child_grades.get((grade_id, sub.symbol))
+                if arg_grades is None:
+                    arg_grades = child_grades[grade_id, sub.symbol] = \
+                        argument_grades(grade_id, sub.symbol)
+                for i, arg in enumerate(args):
+                    if isinstance(arg, App):
+                        stack.append((p + (i + 1,), arg, arg_grades[i]))
+            for i, rule in rules_by_head.get(sub.symbol, ()):
+                if not compatible(rule.lhs, sub, bindings):
+                    continue
+                factor = factors.get((grade_id, i))
+                if factor is None:
+                    factor = cbe_apply(grades[grade_id], rule.degree)
+                    factor = factors[grade_id, i] = degrees.setdefault(factor, factor)
+                yield p, i, rule, sub, factor
+
+    # A strategy is a successor function (LP only when `lp`, that is below
+    # the step bound) and a finisher that emits what a popped node solves.
+
+    def eager_successors(node: _Node, lp: bool) -> list[tuple["_Node", int]]:
+        out = []
+        for p, i, rule, sub, factor in (lp_candidates(node) if lp else ()):
+            new_degree = step(node.degree, factor)
+            if new_degree is None:
+                continue
+            lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
+            new_bindings = dict(node.bindings)
+            if not unifiable(((lhs, sub),), new_bindings):
+                continue
+            goal = replace_at(node.goal, p, rhs)
+            constraint = frozenset({(lhs, sub)})
+            nxt = node.advance("LP", p, i, goal, constraint,
+                               node.bindings, new_degree)
+            nxt = nxt.advance("SU", None, None, goal, frozenset(),
+                              new_bindings, new_degree)
+            out.append((nxt, 1))
+        return out
+
+    def lazy_successors(node: _Node, lp: bool) -> list[tuple["_Node", int]]:
+        out = []
+        for p, i, rule, sub, factor in (lp_candidates(node) if lp else ()):
+            new_degree = step(node.degree, factor)
+            if new_degree is None:
+                continue
+            lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
+            equation = (lhs, resolve(sub, node.bindings))
+            solved = dict(node.solved or {})
+            if not unifiable((equation,), solved):
+                continue  # Cla fires on this configuration
+            out.append((node.advance("LP", p, i, replace_at(node.goal, p, rhs),
+                                     node.constraints | {equation}, node.bindings,
+                                     new_degree, solved), 1))
+        if node.constraints:
+            rho = mgu(node.constraints)
+            if isinstance(rho, Substitution):
+                new_bindings = dict(node.bindings)
+                new_bindings.update(rho.items())
+                out.append((node.advance("SU", None, None, node.goal, frozenset(),
+                                         new_bindings, node.degree), 0))
+        e = node.goal
+        if e != TRUE_TERM and _goal_is_equation(e):
+            equation = (resolve(e.args[0], node.bindings), resolve(e.args[1], node.bindings))
+            solved = dict(node.solved or {})
+            if unifiable((equation,), solved):
+                out.append((node.advance("Con", None, None, TRUE_TERM,
+                                         node.constraints | {equation},
+                                         node.bindings, node.degree, solved), 0))
+        return out
+
+    emitted: dict[object, Solution] = {}
+    expanded = 0
+    depth_cut = False
+    stopped = "exhausted"
+
+    def emit(final: _Node) -> None:
+        restricted = canonical_subst(
+            Substitution.trusted(resolve_all(final.bindings)).restrict(problem_vars))
+        key = (restricted, final.degree)
+        if key not in emitted:
+            emitted[key] = Solution(restricted, final.degree,
+                                    _node_trace(final.frames))
+
+    def eager_finish(node: _Node) -> None:
+        """Con then SU on the goal equation, emitted when it unifies."""
+        e = node.goal
+        if not _goal_is_equation(e):
+            return
+        new_bindings = dict(node.bindings)
+        if not unifiable(((e.args[0], e.args[1]),), new_bindings):
+            return
+        constraint = (resolve(e.args[0], node.bindings),
+                      resolve(e.args[1], node.bindings))
+        final = node.advance("Con", None, None, TRUE_TERM,
+                             node.constraints | {constraint},
+                             node.bindings, node.degree)
+        final = final.advance("SU", None, None, TRUE_TERM, frozenset(),
+                              new_bindings, node.degree)
+        emit(final)
+
+    def lazy_finish(node: _Node) -> None:
+        """Emit a node that Con and SU have already brought to true."""
+        if node.goal == TRUE_TERM and not node.constraints:
+            emit(node)
+
+    if strategy == "eager-su":
+        successors, finish = eager_successors, eager_finish
+    else:
+        successors, finish = lazy_successors, lazy_finish
+
+    def run(order_name: str, bound: int) -> None:
+        nonlocal expanded, depth_cut, stopped
+        seen: dict[object, int] = {node_key(start): 0}
+        if order_name == "bfs":
+            queue = deque([(start, 0)])
+            pop = queue.popleft
+            push = queue.append
+        else:  # best-first on the accumulated degree
+            seq = 0
+            heap = [(quantale.sort_key(start.degree), 0, start, 0)]
+
+            def pop():
+                _, _, node, depth = heapq.heappop(heap)
+                return node, depth
+
+            def push(item):
+                nonlocal seq
+                node, depth = item
+                seq += 1
+                heapq.heappush(heap, (quantale.sort_key(node.degree), seq, node, depth))
+
+            queue = heap
+        while queue:
+            if max_configs is not None and expanded >= max_configs:
+                stopped = "config-limit"
+                return
+            node, depth = pop()
+            expanded += 1
+            finish(node)
+            if max_solutions is not None and len(emitted) >= max_solutions:
+                stopped = "solution-limit"
+                return
+            lp = depth < bound
+            # at the bound LP successors would overrun it: skip building them,
+            # but record whether the bound cut a branch where LP could fire
+            # (an over-approximation: a compatible redex/rule pair may yet
+            # fail unification)
+            if not lp and not depth_cut and next(lp_candidates(node), None) is not None:
+                depth_cut = True
+            for nxt, cost in successors(node, lp):
+                new_depth = depth + cost
+                key = node_key(nxt)
+                if seen.get(key, bound + 1) <= new_depth:
+                    continue
+                seen[key] = new_depth
+                push((nxt, new_depth))
+
+    if order == "iddfs":
+        # iterative deepening over the LP-step bound; each round is explored
+        # breadth-first (depth-monotone pops avoid re-expanding states that a
+        # depth-first round would rediscover at shallower depths)
+        for bound in range(0, max_steps + 1):
+            depth_cut = False
+            run("bfs", bound)
+            if stopped != "exhausted":
+                break
+    else:
+        run(order, max_steps)
+
+    solutions = list(emitted.values())
+    by_subst: dict[Substitution, list[Solution]] = {}
+    for sol in solutions:
+        by_subst.setdefault(sol.subst, []).append(sol)
+    for group in by_subst.values():
+        for sol in group:
+            sol.dominated = any(
+                other is not sol and q_leq(sol.degree, other.degree)
+                and sol.degree != other.degree for other in group)
+    solutions.sort(key=lambda sol: (quantale.sort_key(sol.degree), str(sol.subst)))
+    if stopped == "exhausted" and depth_cut:
+        stopped = "depth-limit"
+    complete = stopped == "exhausted"
+    return SolveResult(solutions, complete, stopped, expanded)
+
+
+
+def ordered(result):
+    return [(str(sol.subst), sol.degree, sol.dominated) for sol in result.solutions]
+
+
+def assert_matches_reference(result, reference, label):
+    assert ordered(result) == ordered(reference), label
+    assert result.stopped == reference.stopped, label
+    assert result.configs_expanded <= reference.configs_expanded, label
+
+
+def demo_problems():
+    for path in sorted(DEMOS.glob("*.gtrs")):
+        pf = parse_file(str(path))
+        for index, problem in enumerate(pf.problems):
+            yield f"{path.stem}/{index}", pf.trs, problem
+
+
+class TestReferenceEngine:
+    """`solve` skips an LP step when the step pair is generated in its other
+    order; `reference_solve` (the engine before, kept verbatim) builds both.
+    Both must emit the same solutions and stop for the same reason."""
+
+    @pytest.mark.parametrize("strategy, order, steps", GOLDEN_SETTINGS)
+    def test_demo_problems(self, strategy, order, steps, monkeypatch):
+        calls = []
+        original = replace_at
+
+        def counted_replace_at(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setitem(reference_solve.__globals__, "replace_at", counted_replace_at)
+        for label, trs, problem in demo_problems():
+            args = (trs, problem.left, problem.right)
+            kwargs = dict(threshold=problem.threshold, strategy=strategy,
+                          order=order, max_steps=steps)
+            calls.clear()
+            reference = reference_solve(*args, **kwargs)
+            result = solve(*args, **kwargs)
+            assert_matches_reference(result, reference, label)
+            if strategy == "eager-su" and order == "bfs":
+                # an eager successor is built exactly where the reference
+                # engine calls replace_at
+                assert result.successors_built + result.commuted_skipped == len(calls), label
+
+    def test_commuted_step_at_the_bound(self):
+        """After the step at 1.1 the only compatible redex is at 1.2, which
+        commutes before it (and then fails to unify): the bound still cut a
+        branch where LP could fire, so the search stops at depth-limit."""
+        pf = parse("quantale lawvere\nvar x y w\nfun a/0\nfun b/0\nfun S/1\n"
+                   "fun g/2\nfun h/2\nrule 1 : a -> b\nrule 1 : g(x, x) -> b\n"
+                   "solve h(a, g(y, S(y))) =? w\n")
+        problem = pf.problems[0]
+        for strategy in STRATEGIES:
+            for order in ORDERS:
+                for steps in (1, 2, 3):
+                    kwargs = dict(strategy=strategy, order=order, max_steps=steps)
+                    reference = reference_solve(pf.trs, problem.left, problem.right,
+                                                **kwargs)
+                    result = solve(pf.trs, problem.left, problem.right, **kwargs)
+                    assert_matches_reference(result, reference, (strategy, order, steps))
+                    assert result.stopped == ("depth-limit" if steps == 1 else "exhausted")
+
+    @pytest.mark.parametrize("max_configs", [3, 10, 40])
+    def test_config_limit_keeps_reference_solutions(self, max_configs):
+        for label, trs, problem in demo_problems():
+            for strategy in STRATEGIES:
+                kwargs = dict(threshold=problem.threshold, strategy=strategy,
+                              max_steps=6, max_configs=max_configs)
+                reference = reference_solve(trs, problem.left, problem.right, **kwargs)
+                result = solve(trs, problem.left, problem.right, **kwargs)
+                assert {sol[:2] for sol in ordered(result)} >= \
+                    {sol[:2] for sol in ordered(reference)}, (label, strategy)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), quantale=st.sampled_from(list(Quantale)),
+           steps=st.integers(1, 3))
+    def test_random_systems(self, seed, quantale, steps):
+        rng = random.Random(seed)
+        cfg = SystemConfig(quantale=quantale, n_constants=2, n_unary=1, n_binary=1,
+                           max_rules=3, nontrivial_cbes=True)
+        trs = random_system(rng, cfg)
+        t, s = random_linear_problem(rng, trs)
+        for strategy in STRATEGIES:
+            for order in ORDERS:
+                kwargs = dict(strategy=strategy, order=order, max_steps=steps)
+                reference = reference_solve(trs, t, s, **kwargs)
+                result = solve(trs, t, s, **kwargs)
+                assert_matches_reference(result, reference, (strategy, order))
+            kwargs = dict(strategy=strategy, max_steps=steps, max_configs=8)
+            limited = solve(trs, t, s, **kwargs)
+            limited_reference = reference_solve(trs, t, s, **kwargs)
+            assert {sol[:2] for sol in ordered(limited)} >= \
+                {sol[:2] for sol in ordered(limited_reference)}, strategy
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write-golden"]:
