@@ -57,7 +57,6 @@ from .rewrite import (
     RewriteRule,
     RewriteStep,
     check_trs,
-    extend_trs,
     innermost_rewrite_steps,
     joinable,
     rewrite_search,
@@ -74,7 +73,6 @@ from .narrow import (
     derivation_to_calculus,
     derivations,
     initial_config,
-    iterate_narrowing,
     narrowing_steps,
     narrowing_solutions,
     solve,

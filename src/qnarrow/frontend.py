@@ -32,18 +32,15 @@ from .quantale import (
     Quantale,
     QuantaleValue,
     cbe_admissible,
-    cbe_to_str,
 )
 from .rewrite import GradedTrs, RewriteRule, TrsReport
 from .narrow import BqTraceStep, Solution
 from .term import (
     App,
-    Position,
     RESERVED_SYMBOLS,
     Signature,
     Term,
     Var,
-    position_from_str,
     position_to_str,
     vars_of,
 )
@@ -379,26 +376,6 @@ def parse_term_text(pf: ProblemFile, text: str) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def render_problem_file(pf: ProblemFile) -> str:
-    lines = [f"quantale {pf.quantale.value}"]
-    if pf.variables:
-        lines.append("var " + " ".join(v.name for v in pf.variables))
-    for name, cbes in pf.signature.symbols.items():
-        line = f"fun {name}/{len(cbes)}"
-        rendered = [cbe_to_str(pf.quantale, f) for f in cbes]
-        if any(r != "id" for r in rendered):
-            line += " : (" + ", ".join(rendered) + ")"
-        lines.append(line)
-    for rule in pf.trs.rules:
-        lines.append(f"rule {rule.degree} : {rule.lhs} -> {rule.rhs}")
-    for problem in pf.problems:
-        line = f"solve {problem.left} =? {problem.right}"
-        if problem.threshold is not None:
-            line += f" threshold {problem.threshold}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
-
-
 def render_solution(solution: Solution) -> str:
     line = f"solution {solution.subst} degree {solution.degree}"
     if solution.dominated:
@@ -420,17 +397,6 @@ def render_trace_step(step: BqTraceStep) -> str:
 
 def render_trace(trace) -> list[str]:
     return [render_trace_step(step) for step in trace]
-
-
-def parse_trace_step_header(line: str) -> tuple[str, Optional[Position], Optional[int]]:
-    """Recover (tag, position, rule index) from a rendered trace line."""
-    head = line.split("|", 1)[0].split()
-    if len(head) != 3:
-        raise ValueError(f"not a trace line: {line!r}")
-    tag, pos_text, rule_text = head
-    pos = None if pos_text == "-" else position_from_str(pos_text)
-    rule = None if rule_text == "-" else int(rule_text) - 1
-    return tag, pos, rule
 
 
 def render_rewrite_trace(start: Term, steps) -> list[str]:

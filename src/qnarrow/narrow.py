@@ -35,7 +35,7 @@ from .quantale import (
     q_leq,
     q_tensor,
 )
-from .rewrite import GradedTrs, RewriteRule, TrsError, check_terms, extend_trs
+from .rewrite import GradedTrs, RewriteRule, TrsError, check_terms
 from .term import (
     App,
     EQ_SYMBOL,
@@ -50,6 +50,7 @@ from .term import (
     fresh_variant,
     fun_positions,
     grade_of_position,
+    graded_subterms,
     is_prefix,
     max_var_index,
     replace_at,
@@ -90,9 +91,7 @@ class NarrowStep:
 def narrowing_steps(trs: GradedTrs, t: Term, counter: FreshCounter) -> list[NarrowStep]:
     """All narrowing steps from t, using rule variants fresh per candidate."""
     steps = []
-    for p in fun_positions(t):
-        sub = subterm_at(t, p)
-        grade = grade_of_position(trs.signature, t, p)
+    for p, sub, grade in graded_subterms(trs.signature, t):
         for i, rule in enumerate(trs.rules):
             lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
             unifier = mgu([(sub, lhs)])
@@ -183,15 +182,6 @@ def derivations(trs: GradedTrs, t: Term, max_steps: int,
     yield from walk(NarrowingDerivation(t))
 
 
-def iterate_narrowing(trs: GradedTrs, t: Term, n: int) -> set:
-    """Reachable (term, composed substitution, accumulated degree) triples
-    over at most n narrowing steps; n = 0 gives (t, identity, unit)."""
-    out = set()
-    for deriv in derivations(trs, t, n):
-        out.add((deriv.end, deriv.substitution(), deriv.degree(trs.quantale)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The calculus.
 # ---------------------------------------------------------------------------
@@ -221,13 +211,6 @@ class BqConfig:
     degree: QuantaleValue
     trace: tuple[BqTraceStep, ...] = ()
 
-    def check_invariants(self) -> None:
-        """Constraint terms never mention substituted variables."""
-        dom = self.subst.domain()
-        for a, b in self.constraints:
-            if (vars_of(a) | vars_of(b)) & dom:
-                raise NarrowError(f"constraint not instantiated: {a} = {b}")
-
     def _advance(self, tag, position, rule_index, goal, constraints, subst, degree):
         entry = BqTraceStep(tag, position, rule_index, goal, constraints, subst, degree)
         return BqConfig(goal, constraints, subst, degree, self.trace + (entry,))
@@ -252,9 +235,8 @@ def bq_step(cfg: BqConfig, trs: GradedTrs,
     out: list[tuple[str, Optional[BqConfig]]] = []
     e = cfg.goal
     if e != TRUE_TERM:
-        for p in fun_positions(e):
-            sub_inst = cfg.subst.apply(subterm_at(e, p))
-            grade = grade_of_position(trs.goal_signature, e, p)
+        for p, sub, grade in graded_subterms(trs.extended.signature, e):
+            sub_inst = cfg.subst.apply(sub)
             for i, rule in enumerate(trs.rules):
                 lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
                 factor = cbe_apply(grade, rule.degree)
@@ -361,11 +343,11 @@ ORDERS = ("bfs", "iddfs", "best-first")
 #     (grade id, rule index);
 #   - the degree step (tensor with a factor, then the threshold test) is
 #     memoized by (degree, factor);
-#   - rules are indexed by the head symbol of their left side, in ascending
-#     rule order, so LP visits only rules whose head matches the redex;
 #   - the state key (`_key_function`) sorts the problem variables once,
 #     memoizes the sort key of each constraint equation, and writes the
 #     degree as an int id.
+# LP visits only rules whose left-side head matches the redex, from the
+# system's own `GradedTrs.rules_by_head`, built once per system.
 # Two states get equal keys exactly when their goals, resolved constraints,
 # resolved bindings in scope and degrees agree after fresh variables are
 # renamed by first occurrence.  That renaming follows the constraint order,
@@ -569,16 +551,14 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     start = _Node(App(EQ_SYMBOL, (t, s)), frozenset(), {}, quantale.unit)
     node_key = _key_function(problem_vars)
 
-    goal_sig = trs.goal_signature
+    goal_sig = trs.extended.signature
+    rules_by_head = trs.rules_by_head
     grades = [cbe_normalize(quantale, CBE_ID)]  # grade id -> CBE; 0 is the root's
     grade_ids = {grades[0]: 0}
     child_grades: dict[tuple[int, str], tuple[int, ...]] = {}
     factors: dict[tuple[int, int], QuantaleValue] = {}
     steps: dict[tuple[QuantaleValue, QuantaleValue], Optional[QuantaleValue]] = {}
     degrees = {start.degree: start.degree}  # one object per degree value
-    rules_by_head: dict[str, list[tuple[int, RewriteRule]]] = {}
-    for i, rule in enumerate(trs.rules):
-        rules_by_head.setdefault(rule.lhs.symbol, []).append((i, rule))
 
     def argument_grades(grade_id: int, symbol: str) -> tuple[int, ...]:
         ids = []
@@ -873,7 +853,7 @@ def derivation_to_calculus(trs: GradedTrs,
         constraint = (step.variant.lhs, cfg.subst.apply(subterm_at(e, step.position)))
         if step.unifier.apply(constraint[0]) != step.unifier.apply(constraint[1]):
             raise NarrowError("derivation unifier does not solve the LP constraint")
-        factor = cbe_apply(grade_of_position(trs.goal_signature, e, step.position),
+        factor = cbe_apply(grade_of_position(trs.extended.signature, e, step.position),
                            step.variant.degree)
         cfg = cfg._advance("LP", step.position, step.rule_index,
                            replace_at(e, step.position, step.variant.rhs),
@@ -898,11 +878,10 @@ def narrowing_solutions(trs: GradedTrs, t: Term, s: Term, max_steps: int,
     reaching true within the step bound.  Both terms must fit the system's
     signature, or TrsError is raised."""
     check_terms(trs.signature, (t, s), "problem term")
-    extended = trs if trs.signature.is_extended else extend_trs(trs)
     problem_vars = vars_of(t) | vars_of(s)
     goal = App(EQ_SYMBOL, (t, s))
     out = set()
-    for deriv in derivations(extended, goal, max_steps, basic_only=basic_only):
+    for deriv in derivations(trs.extended, goal, max_steps, basic_only=basic_only):
         if deriv.end == TRUE_TERM:
             sigma = canonical_subst(deriv.substitution().restrict(problem_vars))
             out.add((sigma, deriv.degree(trs.quantale)))

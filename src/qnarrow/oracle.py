@@ -239,15 +239,6 @@ def _conversion_edges(trs: GradedTrs, pool: tuple[Term, ...]):
     return edges
 
 
-def _edges_from(trs: GradedTrs, u: Term,
-                instantiation_pool: tuple[Term, ...]) -> tuple[list[ConversionEdge], bool]:
-    """The symmetric adjacency of a ground term as edge records, in the
-    order the search examines them (see _conversion_edges)."""
-    raw, incomplete = _conversion_edges(trs, tuple(instantiation_pool))(u)
-    return [ConversionEdge(u, v, p, i, forward, degree)
-            for v, p, i, forward, degree, _, _ in raw], incomplete
-
-
 def _shape(t: Term, memo: dict) -> tuple[int, int]:
     """(term_size, term_depth) of a ground term, memoized per subterm."""
     got = memo.get(t)

@@ -25,8 +25,8 @@ from .term import (
     TRUE_SYMBOL,
     Var,
     fresh_variant,
-    grade_of_position,
     grade_of_var,
+    graded_subterms,
     is_ground,
     is_linear,
     is_prefix,
@@ -64,7 +64,6 @@ class RewriteRule:
 class RuleAttributes:
     left_linear: bool
     right_linear: bool
-    left_ground: bool
     right_ground: bool
     balanced: bool
 
@@ -84,10 +83,6 @@ class TrsReport:
     @property
     def right_linear(self) -> bool:
         return self._all("right_linear")
-
-    @property
-    def left_ground(self) -> bool:
-        return self._all("left_ground")
 
     @property
     def right_ground(self) -> bool:
@@ -121,20 +116,25 @@ class GradedTrs:
         return check_trs(self)
 
     @cached_property
-    def rules_by_head(self) -> dict[tuple[str, int], tuple[tuple[int, RewriteRule], ...]]:
-        """(rule index, rule) pairs keyed by the head symbol and argument
-        count of the left side, in ascending rule order: only these rules
-        can rewrite a subterm with that head."""
-        index: dict[tuple[str, int], list[tuple[int, RewriteRule]]] = {}
+    def rules_by_head(self) -> dict[str, tuple[tuple[int, RewriteRule], ...]]:
+        """(rule index, rule) pairs keyed by the head symbol of the left
+        side, in ascending rule order: only these rules can rewrite a
+        subterm with that head (match and unifiable check argument counts)."""
+        index: dict[str, list[tuple[int, RewriteRule]]] = {}
         for i, rule in enumerate(self.rules):
-            index.setdefault((rule.lhs.symbol, len(rule.lhs.args)), []).append((i, rule))
-        return {key: tuple(entries) for key, entries in index.items()}
+            index.setdefault(rule.lhs.symbol, []).append((i, rule))
+        return {symbol: tuple(entries) for symbol, entries in index.items()}
 
     @cached_property
-    def goal_signature(self) -> Signature:
-        """The signature extended with the reserved symbols, under which
-        calculus goals (which carry `=?` at the root) are graded."""
-        return self.signature if self.signature.is_extended else self.signature.extend()
+    def extended(self) -> "GradedTrs":
+        """The joinability extension, whose signature grades calculus goals:
+        adds `=?`, `true`, and the unit-degree rule rewriting `x =? x` to
+        `true`.  A system already carrying them is its own extension."""
+        if self.signature.is_extended:
+            return self
+        x = Var("x")
+        join_rule = RewriteRule(self.quantale.unit, App(EQ_SYMBOL, (x, x)), App(TRUE_SYMBOL))
+        return GradedTrs(self.signature.extend(), self.rules + (join_rule,), self.confluent)
 
     def __repr__(self):
         return f"GradedTrs({self.signature.quantale.value}, {len(self.rules)} rules)"
@@ -160,7 +160,6 @@ def check_trs(trs: GradedTrs) -> TrsReport:
         per_rule.append(RuleAttributes(
             left_linear=is_linear(rule.lhs),
             right_linear=is_linear(rule.rhs),
-            left_ground=is_ground(rule.lhs),
             right_ground=is_ground(rule.rhs),
             balanced=balanced,
         ))
@@ -184,16 +183,6 @@ def check_terms(signature: Signature, terms: Iterable[Term], where: str) -> None
                                f"got {len(sub.args)} in {where}")
 
 
-def extend_trs(trs: GradedTrs) -> GradedTrs:
-    """The joinability extension: adds `=?`, `true`, and the unit-degree
-    rule rewriting `x =? x` to `true`."""
-    if trs.signature.is_extended:
-        raise TrsError("rewrite system is already extended")
-    x = Var("x")
-    join_rule = RewriteRule(trs.quantale.unit, App(EQ_SYMBOL, (x, x)), App(TRUE_SYMBOL))
-    return GradedTrs(trs.signature.extend(), trs.rules + (join_rule,), trs.confluent)
-
-
 @dataclass(frozen=True)
 class RewriteStep:
     """One single-step rewrite: where, by which rule, and at what degree."""
@@ -209,20 +198,14 @@ def rewrite_steps(trs: GradedTrs, s: Term) -> list[RewriteStep]:
     """The complete (finite) list of single-step rewrites from s, by
     position in left-to-right preorder, then by rule index.
 
-    Only rules whose left side has the subterm's head symbol and argument
-    count are tried, each on a fresh variant, so the fresh indices of the
-    rule variables in a step's `subst` are unspecified."""
+    Only rules whose left side has the subterm's head symbol are tried,
+    each on a fresh variant, so the fresh indices of the rule variables in
+    a step's `subst` are unspecified."""
     rules_by_head = trs.rules_by_head
     counter = FreshCounter(max_var_index([s]) + 1)
     steps = []
-    for p, sub in iter_subterms(s):
-        if isinstance(sub, Var):
-            continue
-        candidates = rules_by_head.get((sub.symbol, len(sub.args)))
-        if candidates is None:
-            continue
-        grade = grade_of_position(trs.signature, s, p)
-        for i, rule in candidates:
+    for p, sub, grade in graded_subterms(trs.signature, s):
+        for i, rule in rules_by_head.get(sub.symbol, ()):
             lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
             matcher = match(lhs, sub)
             if matcher is None:
@@ -306,9 +289,8 @@ def joinable(trs: GradedTrs, t: Term, s: Term, max_steps: int,
     bound, found by searching `t =? s` for `true` over the extended system.
     Both terms must fit the system's signature, or TrsError is raised."""
     check_terms(trs.signature, (t, s), "joinability problem")
-    extended = trs if trs.signature.is_extended else extend_trs(trs)
     goal = App(TRUE_SYMBOL)
-    reached = rewrite_search(extended, App(EQ_SYMBOL, (t, s)), max_steps, threshold)
+    reached = rewrite_search(trs.extended, App(EQ_SYMBOL, (t, s)), max_steps, threshold)
     entries = reached.get(goal)
     if not entries:
         return None

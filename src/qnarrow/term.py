@@ -92,11 +92,28 @@ class App:
                 and self.args == other.args)
 
     def __str__(self):
-        if self.symbol == EQ_SYMBOL and len(self.args) == 2:
-            return f"{self.args[0]} =? {self.args[1]}"
-        if not self.args:
-            return self.symbol
-        return f"{self.symbol}({', '.join(str(a) for a in self.args)})"
+        # rendered from an explicit stack of pending pieces (terms and
+        # literal text, last piece on top), so deep terms do not exhaust
+        # the interpreter's recursion limit
+        out = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, Var):
+                out.append(str(item))
+            elif not item.args:
+                out.append(item.symbol)
+            elif item.symbol == EQ_SYMBOL and len(item.args) == 2:
+                stack += (item.args[1], " =? ", item.args[0])
+            else:
+                args = item.args
+                stack.append(")")
+                for i in range(len(args) - 1, 0, -1):
+                    stack += (args[i], ", ")
+                stack += (args[0], item.symbol + "(")
+        return "".join(out)
 
 
 Term = Union[Var, App]
@@ -291,6 +308,23 @@ def grade_of_position(sig: Signature, t: Term, p: Position) -> Cbe:
         acc = cbe_compose(sig.quantale, acc, sig.arity(node.symbol)[i - 1])
         node = node.args[i - 1]
     return cbe_normalize(sig.quantale, acc)
+
+
+def graded_subterms(sig: Signature, t: Term) -> Iterator[tuple[Position, App, Cbe]]:
+    """(position, subterm, grade) for every non-variable subterm of t in
+    left-to-right preorder, each grade composed from its parent's; it equals
+    grade_of_position(sig, t, position) without re-walking the path."""
+    quantale = sig.quantale
+    stack = [] if isinstance(t, Var) else [(ROOT, t, cbe_normalize(quantale, CBE_ID))]
+    while stack:
+        p, node, grade = stack.pop()
+        yield p, node, grade
+        if node.args:
+            cbes = sig.arity(node.symbol)
+            for i in range(len(node.args), 0, -1):
+                arg = node.args[i - 1]
+                if isinstance(arg, App):
+                    stack.append((p + (i,), arg, cbe_compose(quantale, grade, cbes[i - 1])))
 
 
 def grade_of_var(sig: Signature, t: Term, x: Var) -> Cbe:

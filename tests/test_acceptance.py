@@ -20,7 +20,6 @@ from qnarrow import (
     cbe_apply,
     derivations,
     enumerate_best_unifiers,
-    extend_trs,
     grade_of_position,
     joinable,
     match,
@@ -259,7 +258,7 @@ def test_criterion_6e_degree_deflation():
             cfg = SystemConfig(quantale=q, nontrivial_cbes=True)
             trs = random_system(rng, cfg)
             t, s = random_linear_problem(rng, trs)
-            ext = extend_trs(trs)
+            ext = trs.extended
             goal = App("=?", (t, s))
             for deriv in derivations(ext, goal, 2):
                 if not deriv.steps:
@@ -335,7 +334,7 @@ def test_criterion_8_basicness_and_correspondence():
                                n_unary=1, n_binary=0)
             trs = random_system(rng, cfg)
             t, s = random_linear_problem(rng, trs)
-            ext = extend_trs(trs)
+            ext = trs.extended
             goal = App("=?", (t, s))
             for deriv in derivations(ext, goal, lp_bound + 1):
                 assert deriv.is_basic  # linear problem + right-ground rules

@@ -2,23 +2,56 @@
 
 import json
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 from qnarrow import App, GtrsError, Quantale, Substitution, Var, parse, solve
 from qnarrow.cli import main
 from qnarrow.frontend import (
+    ProblemFile,
     parse_term_text,
-    parse_trace_step_header,
-    render_problem_file,
     render_solution,
     render_trace,
 )
 from qnarrow.narrow import Solution
+from qnarrow.quantale import cbe_to_str
+from qnarrow.term import Position, position_from_str
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 PEANO_TEXT = (DEMOS / "peano.gtrs").read_text()
+
+
+def render_problem_file(pf: ProblemFile) -> str:
+    lines = [f"quantale {pf.quantale.value}"]
+    if pf.variables:
+        lines.append("var " + " ".join(v.name for v in pf.variables))
+    for name, cbes in pf.signature.symbols.items():
+        line = f"fun {name}/{len(cbes)}"
+        rendered = [cbe_to_str(pf.quantale, f) for f in cbes]
+        if any(r != "id" for r in rendered):
+            line += " : (" + ", ".join(rendered) + ")"
+        lines.append(line)
+    for rule in pf.trs.rules:
+        lines.append(f"rule {rule.degree} : {rule.lhs} -> {rule.rhs}")
+    for problem in pf.problems:
+        line = f"solve {problem.left} =? {problem.right}"
+        if problem.threshold is not None:
+            line += f" threshold {problem.threshold}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def parse_trace_step_header(line: str) -> tuple[str, Optional[Position], Optional[int]]:
+    """Recover (tag, position, rule index) from a rendered trace line."""
+    head = line.split("|", 1)[0].split()
+    if len(head) != 3:
+        raise ValueError(f"not a trace line: {line!r}")
+    tag, pos_text, rule_text = head
+    pos = None if pos_text == "-" else position_from_str(pos_text)
+    rule = None if rule_text == "-" else int(rule_text) - 1
+    return tag, pos, rule
 
 
 class TestParse:
@@ -230,12 +263,12 @@ class TestCli:
 
     @pytest.mark.parametrize("command", [["solve"], ["oracle", "--verify"]])
     def test_deep_terms_exit_two(self, command, tmp_path, capsys):
-        """A term nested 300 deep is input the library cannot render, not
-        a search that found nothing."""
+        """A term nested 3000 deep, beyond the parser's recursion, is an
+        input error, not a search that found nothing."""
         path = tmp_path / "deep.gtrs"
         path.write_text("quantale lawvere\nvar x\nfun Z/0\nfun S/1\nfun f/1\n"
                         "rule 1 : f(x) -> x\n"
-                        f"solve x =? {'S(' * 300}Z{')' * 300}\n")
+                        f"solve x =? {'S(' * 3000}Z{')' * 3000}\n")
         assert main([command[0], str(path)] + command[1:]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -19,15 +19,14 @@ from qnarrow import (
     FreshCounter,
     IDENTITY,
     Quantale,
+    Signature,
     Substitution,
     basic_update,
     bq_step,
     derivation_to_calculus,
     derivations,
-    extend_trs,
     fun_positions,
     initial_config,
-    iterate_narrowing,
     narrowing_steps,
     narrowing_solutions,
     parse,
@@ -38,6 +37,7 @@ from qnarrow import (
     vars_of,
 )
 from qnarrow.narrow import (
+    NarrowError,
     NarrowingDerivation,
     NonBasicStepError,
     ORDERS,
@@ -72,7 +72,7 @@ from qnarrow.term import (
 from qnarrow.unify import Bindings, mgu, resolve, resolve_all, unifiable
 from qnarrow.oracle import SystemConfig, random_system, random_linear_problem
 
-from conftest import S, X, Z, plus
+from conftest import S, X, Z, num, plus
 
 L = Quantale.LAWVERE
 
@@ -120,9 +120,26 @@ def run_derivation(trs, start, script):
     return deriv
 
 
+def iterate_narrowing(trs: GradedTrs, t: Term, n: int) -> set:
+    """Reachable (term, composed substitution, accumulated degree) triples
+    over at most n narrowing steps; n = 0 gives (t, identity, unit)."""
+    out = set()
+    for deriv in derivations(trs, t, n):
+        out.add((deriv.end, deriv.substitution(), deriv.degree(trs.quantale)))
+    return out
+
+
+def check_invariants(cfg) -> None:
+    """Constraint terms never mention substituted variables."""
+    dom = cfg.subst.domain()
+    for a, b in cfg.constraints:
+        if (vars_of(a) | vars_of(b)) & dom:
+            raise NarrowError(f"constraint not instantiated: {a} = {b}")
+
+
 class TestNarrowingSteps:
     def test_peano_first_step(self, peano):
-        ext = extend_trs(peano)
+        ext = peano.extended
         goal = eq(plus(X, S(Z)), plus(plus(X, X), X))
         steps = narrowing_steps(ext, goal, FreshCounter(10))
         chosen = [st for st in steps if st.position == (1,) and st.rule_index == 1]
@@ -136,7 +153,7 @@ class TestNarrowingSteps:
 
     def test_cubic_position_step(self, cubic):
         goal = eq(App("f", (X, X, X)), App("f", (App("a"), App("b"), App("d"))))
-        steps = narrowing_steps(extend_trs(cubic), goal, FreshCounter(5))
+        steps = narrowing_steps(cubic.extended, goal, FreshCounter(5))
         chosen = [st for st in steps if st.position == (2, 1) and st.rule_index == 0]
         assert len(chosen) == 1
         st = chosen[0]
@@ -161,7 +178,7 @@ PEANO_DERIVATION_TWO = [
 
 class TestWorkedDerivations:
     def test_first_derivation(self, peano):
-        ext = extend_trs(peano)
+        ext = peano.extended
         goal = eq(plus(X, S(Z)), plus(plus(X, X), X))
         deriv = run_derivation(ext, goal, PEANO_DERIVATION_ONE)
         assert deriv.end == TRUE_TERM
@@ -169,7 +186,7 @@ class TestWorkedDerivations:
         assert deriv.substitution().restrict({X}) == Substitution({X: Z})
 
     def test_second_derivation(self, peano):
-        ext = extend_trs(peano)
+        ext = peano.extended
         goal = eq(plus(X, S(Z)), plus(plus(X, X), X))
         deriv = run_derivation(ext, goal, PEANO_DERIVATION_TWO)
         assert deriv.end == TRUE_TERM
@@ -177,7 +194,7 @@ class TestWorkedDerivations:
         assert deriv.substitution().restrict({X}) == Substitution({X: S(Z)})
 
     def test_intermediate_display_of_first(self, peano):
-        ext = extend_trs(peano)
+        ext = peano.extended
         goal = eq(plus(X, S(Z)), plus(plus(X, X), X))
         deriv = run_derivation(ext, goal, PEANO_DERIVATION_ONE[:2])
         assert deriv.end == eq(S(X), plus(plus(X, X), X))
@@ -206,7 +223,7 @@ class TestBasicPositions:
         for _ in range(15):
             trs = random_system(rng, cfg)
             t, s = random_linear_problem(rng, trs)
-            ext = extend_trs(trs)
+            ext = trs.extended
             for deriv in derivations(ext, eq(t, s), 3):
                 assert deriv.is_basic
                 assert deriv.basics[-1] == frozenset(fun_positions(deriv.end))
@@ -275,7 +292,7 @@ class TestBqStep:
                 for tag, nxt in bq_step(node, peano, counter):
                     if nxt is None:
                         continue
-                    nxt.check_invariants()
+                    check_invariants(nxt)
                     nxt_frontier.append(nxt)
             frontier = nxt_frontier[:20]
 
@@ -284,7 +301,7 @@ class TestSolve:
     def test_reserved_symbols_rejected(self, peano):
         from qnarrow.rewrite import TrsError
         with pytest.raises(TrsError):
-            solve(extend_trs(peano), Z, Z)
+            solve(peano.extended, Z, Z)
         # reserved, undeclared, too few and too many arguments: problem
         # terms are checked up front, not when LP first reaches them
         bad = [eq(Z, Z), App("q"), App("S"), App("S", (Z, Z)), S(App("+", (Z,)))]
@@ -455,6 +472,18 @@ class TestSolve:
                             max_solutions=1)
             assert limited.stopped == "solution-limit"
 
+    def test_deep_solution(self):
+        """A solution nested 300 deep is found and rendered (the solutions
+        are sorted by their rendered substitutions)."""
+        sig = Signature(L, {"Z": (), "S": (CBE_ID,), "f": (CBE_ID,)})
+        trs = GradedTrs(sig, (RewriteRule(L.degree(1), App("f", (X,)), X),))
+        deep = num(300)
+        for strategy in STRATEGIES:
+            result = solve(trs, X, deep, strategy=strategy, max_steps=1)
+            assert [sol.subst for sol in result.solutions] == [Substitution({X: deep})]
+            assert str(result.solutions[0].subst) == (
+                "{x -> " + "S(" * 300 + "Z" + ")" * 300 + "}")
+
 
 class TestDerivationToCalculus:
     def test_empty_derivation(self, peano):
@@ -464,7 +493,7 @@ class TestDerivationToCalculus:
         assert configs[0].subst.is_identity
 
     def test_peano_first_derivation_roundtrip(self, peano):
-        ext = extend_trs(peano)
+        ext = peano.extended
         goal = eq(plus(X, S(Z)), plus(plus(X, X), X))
         deriv = run_derivation(ext, goal, PEANO_DERIVATION_ONE)
         configs = derivation_to_calculus(ext, deriv)
@@ -750,7 +779,7 @@ def reference_solve(trs: GradedTrs, t: Term, s: Term,
     start = _Node(App(EQ_SYMBOL, (t, s)), frozenset(), {}, quantale.unit)
     node_key = _key_function(problem_vars)
 
-    goal_sig = trs.goal_signature
+    goal_sig = trs.extended.signature
     grades = [cbe_normalize(quantale, CBE_ID)]  # grade id -> CBE; 0 is the root's
     grade_ids = {grades[0]: 0}
     child_grades: dict[tuple[int, str], tuple[int, ...]] = {}

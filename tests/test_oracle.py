@@ -41,7 +41,7 @@ from qnarrow.oracle import (
     ConversionOutcome,
     SystemConfig,
     _apply_env,
-    _edges_from,
+    _conversion_edges,
     _flip,
     _match_env,
     random_linear_problem,
@@ -74,6 +74,15 @@ L = Quantale.LAWVERE
 
 def f3(*ts):
     return App("f", tuple(ts))
+
+
+def _edges_from(trs: GradedTrs, u: Term,
+                instantiation_pool: tuple[Term, ...]) -> tuple[list[ConversionEdge], bool]:
+    """The symmetric adjacency of a ground term as edge records, in the
+    order the search examines them (see _conversion_edges)."""
+    raw, incomplete = _conversion_edges(trs, tuple(instantiation_pool))(u)
+    return [ConversionEdge(u, v, p, i, forward, degree)
+            for v, p, i, forward, degree, _, _ in raw], incomplete
 
 
 class TestBestConversionDegree:

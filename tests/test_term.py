@@ -32,13 +32,16 @@ from qnarrow import (
     vars_of,
 )
 from qnarrow.term import (
+    EQ_SYMBOL,
     InvalidPositionError,
     SignatureError,
     SubstitutionError,
+    graded_subterms,
+    iter_subterms,
     position_from_str,
     position_to_str,
 )
-from qnarrow.oracle import SystemConfig, random_signature, random_term
+from qnarrow.oracle import SystemConfig, random_signature, random_system, random_term
 
 from conftest import S, X, Y, Z, plus, random_value
 
@@ -141,6 +144,24 @@ class TestGrades:
                             grade_of_position(sig, t, left),
                             grade_of_position(sig, subterm_at(t, left), right))
                         assert cbe_equal(qk, grade_of_position(sig, t, p), combined)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(list(Quantale)), st.booleans())
+    def test_graded_subterms_match_grade_of_position(self, seed, qk, goal):
+        """The walk yields exactly the function positions of iter_subterms,
+        in order, each graded as grade_of_position grades it; goals are
+        walked under the extended signature."""
+        rng = random.Random(seed)
+        trs = random_system(rng, SystemConfig(quantale=qk, nontrivial_cbes=True))
+        sig = trs.signature
+        t = random_term(rng, sig, [X, Y], 4)
+        if goal:
+            sig = trs.extended.signature
+            t = App(EQ_SYMBOL, (t, random_term(rng, trs.signature, [X, Y], 3)))
+        walked = list(graded_subterms(sig, t))
+        assert [(p, sub) for p, sub, _ in walked] == \
+            [(p, sub) for p, sub in iter_subterms(t) if isinstance(sub, App)]
+        for p, _, grade in walked:
+            assert cbe_equal(qk, grade, grade_of_position(sig, t, p))
 
 
 class TestSignature:
@@ -278,6 +299,27 @@ terms = st.recursive(
     max_leaves=5)
 
 
+def reference_str(t):
+    """App.__str__ as it was before it stopped recursing, its logic kept
+    verbatim."""
+    if isinstance(t, Var):
+        return str(t)
+    if t.symbol == EQ_SYMBOL and len(t.args) == 2:
+        return f"{reference_str(t.args[0])} =? {reference_str(t.args[1])}"
+    if not t.args:
+        return t.symbol
+    return f"{t.symbol}({', '.join(reference_str(a) for a in t.args)})"
+
+
+# equations (also nested and with other argument counts) and up to three
+# arguments, so that every rendering branch is drawn
+rendered_terms = st.recursive(
+    st.one_of(variables, st.sampled_from(("Z", "a", "true", EQ_SYMBOL)).map(App)),
+    lambda children: st.builds(App, st.sampled_from(("S", "f", EQ_SYMBOL)),
+                               st.lists(children, min_size=1, max_size=3).map(tuple)),
+    max_leaves=10)
+
+
 class TestValueContract:
     @given(terms, terms)
     @example(Var("x", 0), Var("x", 1))
@@ -300,6 +342,10 @@ class TestValueContract:
         assert repr(a) == repr(mirror(a))
         assert str((a, b)) == str((mirror(a), mirror(b)))
         assert hash(a) == hash(mirror(a))
+
+    @given(rendered_terms)
+    def test_rendering_matches_the_recursive_form(self, t):
+        assert str(t) == reference_str(t)
 
     def test_pinned_reprs(self):
         assert repr(Var("y", 3)) == "Var(name='y', index=3)"
