@@ -15,6 +15,7 @@ from .frontend import (
     ProblemFile,
     parse_file,
     parse_term_text,
+    parse_terms_text,
     render_check_report,
     render_rewrite_trace,
     render_solution,
@@ -104,7 +105,7 @@ def cmd_solve(args) -> int:
 def cmd_rewrite(args) -> int:
     pf = _load(args)
     term = parse_term_text(pf, args.term)
-    if args.steps <= 1:
+    if args.steps == 1:
         steps = (innermost_rewrite_steps if args.innermost else rewrite_steps)(pf.trs, term)
         for step in steps:
             print(f"{position_to_str(step.position)}: {term} -> "
@@ -149,8 +150,7 @@ def cmd_oracle(args) -> int:
         return EXIT_USAGE
     bounds = OracleBounds(max_term_depth=args.depth)
     if args.pool:
-        pool = tuple(parse_term_text(pf, part.strip())
-                     for part in args.pool.split(","))
+        pool = parse_terms_text(pf, args.pool)
     else:
         pool = tuple(App(c) for c in pf.signature.constants())
     exit_code = EXIT_FOUND

@@ -45,8 +45,6 @@ from .term import (
     vars_of,
 )
 
-FILE_EXTENSION = ".gtrs"
-
 _QUANTALE_NAMES = {q.value: q for q in Quantale}
 
 
@@ -357,18 +355,31 @@ def parse_file(path) -> ProblemFile:
         return parse(handle.read(), filename=str(path))
 
 
-def parse_term_text(pf: ProblemFile, text: str) -> Term:
-    """Parse a standalone term against a file's declarations."""
+def _parse_standalone(pf: ProblemFile, text: str, many: bool) -> list[Term]:
     parser = _Parser("<term>")
     parser.quantale = pf.quantale
     parser.variables = {v.name: v for v in pf.variables}
     parser.symbols = pf.signature.symbols
     tokens = _tokenize_line(text, 1, "<term>")
     lp = _LineParser(tokens, 1, "<term>")
-    term = parser._parse_term(lp)
+    terms = [parser._parse_term(lp)]
+    while many and lp.peek() and lp.peek().text == ",":
+        lp.next()
+        terms.append(parser._parse_term(lp))
     if not lp.at_end():
         lp.error(f"trailing input {lp.peek().text!r}", lp.peek())
-    return term
+    return terms
+
+
+def parse_term_text(pf: ProblemFile, text: str) -> Term:
+    """Parse a standalone term against a file's declarations."""
+    return _parse_standalone(pf, text, many=False)[0]
+
+
+def parse_terms_text(pf: ProblemFile, text: str) -> tuple[Term, ...]:
+    """Parse standalone terms against a file's declarations, separated by
+    the commas that lie outside every argument list."""
+    return tuple(_parse_standalone(pf, text, many=True))
 
 
 # ---------------------------------------------------------------------------

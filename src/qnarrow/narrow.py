@@ -161,13 +161,11 @@ class NarrowingDerivation:
 
 
 def derivations(trs: GradedTrs, t: Term, max_steps: int,
-                basic_only: bool = False,
-                counter: Optional[FreshCounter] = None) -> Iterator[NarrowingDerivation]:
+                basic_only: bool = False) -> Iterator[NarrowingDerivation]:
     """Every narrowing derivation from t of length at most max_steps,
     including the empty one; basic_only restricts steps to basic positions."""
-    if counter is None:
-        start = max_var_index([t] + [s for r in trs.rules for s in (r.lhs, r.rhs)]) + 1
-        counter = FreshCounter(start)
+    counter = FreshCounter(
+        max_var_index([t] + [s for r in trs.rules for s in (r.lhs, r.rhs)]) + 1)
 
     def walk(deriv: NarrowingDerivation) -> Iterator[NarrowingDerivation]:
         yield deriv

@@ -503,6 +503,7 @@ _DEGREE_CHOICES = {
     Quantale.FUZZY_GODEL: ("1", "1/2", "3/4", "1/4"),
     Quantale.FUZZY_PRODUCT: ("1", "1/2", "3/4", "1/4"),
 }
+_RULE_ATTEMPTS = 200
 
 
 def _random_cbe(rng: random.Random, cfg: SystemConfig) -> Cbe:
@@ -542,8 +543,7 @@ def random_term(rng: random.Random, sig: Signature, variables: list[Var],
                            for _ in arity))
 
 
-def random_system(rng: random.Random, cfg: SystemConfig,
-                  max_attempts: int = 200) -> GradedTrs:
+def random_system(rng: random.Random, cfg: SystemConfig) -> GradedTrs:
     """Sample a system matching the config gates, retrying per rule."""
     sig = random_signature(rng, cfg)
     quantale = cfg.quantale
@@ -552,7 +552,7 @@ def random_system(rng: random.Random, cfg: SystemConfig,
     n_rules = rng.randint(1, cfg.max_rules)
     for _ in range(n_rules):
         rule = None
-        for _ in range(max_attempts):
+        for _ in range(_RULE_ATTEMPTS):
             lhs = random_term(rng, sig, xs, cfg.max_rule_depth)
             if isinstance(lhs, Var):
                 continue

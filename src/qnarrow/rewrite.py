@@ -112,10 +112,6 @@ class GradedTrs:
         return self.signature.quantale
 
     @cached_property
-    def report(self) -> TrsReport:
-        return check_trs(self)
-
-    @cached_property
     def rules_by_head(self) -> dict[str, tuple[tuple[int, RewriteRule], ...]]:
         """(rule index, rule) pairs keyed by the head symbol of the left
         side, in ascending rule order: only these rules can rewrite a
@@ -246,41 +242,30 @@ def rewrite_search(trs: GradedTrs, start: Term, max_steps: int,
     check_terms(trs.signature, (start,), "start term")
     expand = innermost_rewrite_steps if innermost else rewrite_steps
     unit = trs.quantale.unit
-    # Entries per term: (degree, depth reached, trace).  A candidate is
-    # redundant only if some entry is at least as good in degree *and* was
-    # reached at most as deep, since leftover depth can still pay off.
-    book: dict[Term, list[tuple[QuantaleValue, int, Trace]]] = {start: [(unit, 0, ())]}
+    # Each term keeps an antichain of entries in the order found, returned
+    # as it is.  Depths need not be kept: the search goes one step deeper
+    # per round, so every entry was reached at most as deep as any later
+    # candidate, whose leftover depth can then never pay off.
+    reached: dict[Term, list[ReachEntry]] = {start: [(unit, ())]}
     frontier: list[tuple[Term, QuantaleValue, Trace]] = [(start, unit, ())]
-    for depth in range(1, max_steps + 1):
+    for _ in range(max_steps):
         next_frontier = []
         for term, degree, trace in frontier:
             for step in expand(trs, term):
                 new_degree = q_tensor(degree, step.degree)
                 if threshold is not None and not q_leq(threshold, new_degree):
                     continue
-                entries = book.setdefault(step.result, [])
-                if any(q_leq(new_degree, d) and dep <= depth for d, dep, _ in entries):
+                entries = reached.setdefault(step.result, [])
+                if any(q_leq(new_degree, d) for d, _ in entries):
                     continue
                 new_trace = trace + (step,)
-                entries[:] = [(d, dep, tr) for d, dep, tr in entries
-                              if not (q_leq(d, new_degree) and dep >= depth)]
-                entries.append((new_degree, depth, new_trace))
+                entries[:] = [e for e in entries if not q_leq(e[0], new_degree)]
+                entries.append((new_degree, new_trace))
                 next_frontier.append((step.result, new_degree, new_trace))
         frontier = next_frontier
         if not frontier:
             break
-    result: dict[Term, list[ReachEntry]] = {}
-    for term, entries in book.items():
-        maximal = [(d, tr) for d, dep, tr in entries
-                   if not any(q_leq(d, d2) and d != d2 for d2, _, _ in entries)]
-        seen: set[QuantaleValue] = set()
-        unique = []
-        for d, tr in maximal:
-            if d not in seen:
-                seen.add(d)
-                unique.append((d, tr))
-        result[term] = unique
-    return result
+    return reached
 
 
 def joinable(trs: GradedTrs, t: Term, s: Term, max_steps: int,
@@ -292,10 +277,4 @@ def joinable(trs: GradedTrs, t: Term, s: Term, max_steps: int,
     goal = App(TRUE_SYMBOL)
     reached = rewrite_search(trs.extended, App(EQ_SYMBOL, (t, s)), max_steps, threshold)
     entries = reached.get(goal)
-    if not entries:
-        return None
-    best = entries[0]
-    for entry in entries[1:]:
-        if q_leq(best[0], entry[0]):
-            best = entry
-    return best
+    return entries[0] if entries else None

@@ -11,6 +11,7 @@ from qnarrow.cli import main
 from qnarrow.frontend import (
     ProblemFile,
     parse_term_text,
+    parse_terms_text,
     render_solution,
     render_trace,
 )
@@ -82,6 +83,19 @@ class TestParse:
         pf = parse(PEANO_TEXT)
         t = parse_term_text(pf, "+(S(Z), x)")
         assert t == App("+", (App("S", (App("Z"),)), Var("x")))
+
+    def test_term_list_text(self):
+        """Only commas outside argument lists separate the terms."""
+        pf = parse(PEANO_TEXT)
+        one = parse_term_text(pf, "+(S(Z), x)")
+        assert parse_terms_text(pf, "+(S(Z), x), Z,S(Z)") == (one, App("Z"),
+                                                            App("S", (App("Z"),)))
+        assert parse_terms_text(pf, "+(S(Z), x)") == (one,)
+        for bad in ("", "Z,", ",Z", "Z,,Z", "+(Z, Z"):
+            with pytest.raises(GtrsError):
+                parse_terms_text(pf, bad)
+        with pytest.raises(GtrsError, match="trailing input ','"):
+            parse_term_text(pf, "Z, Z")
 
     def test_random_files_round_trip(self):
         import random
@@ -294,6 +308,14 @@ class TestCli:
         assert code == 0
         assert "f(b) @ 0" in out
 
+    def test_rewrite_zero_steps(self, capsys):
+        """Zero steps reach only the start term: a search, not a listing of
+        single steps."""
+        code = main(["rewrite", str(DEMOS / "innermost.gtrs"),
+                     "--term", "f(a)", "--steps", "0"])
+        assert code == 1
+        assert capsys.readouterr().out.splitlines() == ["f(a) @ 0 in 0 steps"]
+
     def test_narrow(self, capsys):
         code = main(["narrow", str(DEMOS / "cubic.gtrs"), "--term", "f(a, b, d)",
                      "--steps", "1"])
@@ -315,6 +337,14 @@ class TestCli:
         assert set(out[2:5]) == {"2. {x -> a} degree 4",
                                  "3. {x -> b} degree 4",
                                  "4. {x -> d} degree 4"}
+
+    def test_oracle_pool_with_binary_symbol(self, capsys):
+        code = main(["oracle", str(DEMOS / "peano.gtrs"), "--pool", "+(Z, Z),Z"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[1:] == ["1. {x -> +(Z, Z)} degree 1", "2. {x -> Z} degree 1"]
+        assert main(["oracle", str(DEMOS / "peano.gtrs"), "--pool", "Z,"]) == 2
+        assert "expected a term" in capsys.readouterr().err
 
     def test_oracle_verify(self, capsys):
         code = main(["oracle", str(DEMOS / "cubic.gtrs"),

@@ -23,10 +23,11 @@ from qnarrow import (
     rewrite_steps,
 )
 from qnarrow import CBE_ID, CbeScale, Var, match, parse_file, replace_at, solve, vars_of
-from qnarrow.rewrite import RewriteStep, TrsError
+from qnarrow.rewrite import RewriteStep, TrsError, check_terms
 from qnarrow.oracle import SystemConfig, random_system, random_term
 from qnarrow.term import (
     EQ_SYMBOL,
+    TRUE_SYMBOL,
     FreshCounter,
     fresh_variant,
     fun_positions,
@@ -334,6 +335,160 @@ class TestRewriteSearch:
                         assert q_leq(new, acc)
                         acc = new
                     assert acc == degree
+
+
+def reference_rewrite_search(trs, start, max_steps, threshold=None, innermost=False):
+    """rewrite_search as it was before it kept one antichain per term (its
+    logic kept verbatim): entries carry their depth, and a closing pass
+    keeps the maximal degrees without duplicates."""
+    check_terms(trs.signature, (start,), "start term")
+    expand = innermost_rewrite_steps if innermost else rewrite_steps
+    unit = trs.quantale.unit
+    # Entries per term: (degree, depth reached, trace).  A candidate is
+    # redundant only if some entry is at least as good in degree *and* was
+    # reached at most as deep, since leftover depth can still pay off.
+    book = {start: [(unit, 0, ())]}
+    frontier = [(start, unit, ())]
+    for depth in range(1, max_steps + 1):
+        next_frontier = []
+        for term, degree, trace in frontier:
+            for step in expand(trs, term):
+                new_degree = q_tensor(degree, step.degree)
+                if threshold is not None and not q_leq(threshold, new_degree):
+                    continue
+                entries = book.setdefault(step.result, [])
+                if any(q_leq(new_degree, d) and dep <= depth for d, dep, _ in entries):
+                    continue
+                new_trace = trace + (step,)
+                entries[:] = [(d, dep, tr) for d, dep, tr in entries
+                              if not (q_leq(d, new_degree) and dep >= depth)]
+                entries.append((new_degree, depth, new_trace))
+                next_frontier.append((step.result, new_degree, new_trace))
+        frontier = next_frontier
+        if not frontier:
+            break
+    result = {}
+    for term, entries in book.items():
+        maximal = [(d, tr) for d, dep, tr in entries
+                   if not any(q_leq(d, d2) and d != d2 for d2, _, _ in entries)]
+        seen = set()
+        unique = []
+        for d, tr in maximal:
+            if d not in seen:
+                seen.add(d)
+                unique.append((d, tr))
+        result[term] = unique
+    return result
+
+
+def reference_joinable(trs, t, s, max_steps, threshold=None):
+    """joinable as it was before it read the first antichain entry (its
+    logic kept verbatim, searching with reference_rewrite_search)."""
+    check_terms(trs.signature, (t, s), "joinability problem")
+    goal = App(TRUE_SYMBOL)
+    reached = reference_rewrite_search(trs.extended, App(EQ_SYMBOL, (t, s)), max_steps,
+                                       threshold)
+    entries = reached.get(goal)
+    if not entries:
+        return None
+    best = entries[0]
+    for entry in entries[1:]:
+        if q_leq(best[0], entry[0]):
+            best = entry
+    return best
+
+
+class TestRewriteSearchReference:
+    """One antichain per term must reproduce the depth-tagged book with its
+    closing maximal pass: the same terms, degrees, traces and order."""
+
+    # a bound whose search reaches more terms than this is not compared (nor
+    # any larger one), which keeps bounds 0-4 affordable on random systems
+    MAX_TERMS = 60
+
+    def same_search_steps(self, trs, subjects):
+        """Compare both searches on every subject, bound, threshold and
+        strategy; return how many steps the traces found hold in all."""
+        degrees = [r.degree for r in trs.rules]
+        thresholds = (None, q_tensor(degrees[0], degrees[-1]))
+        steps = 0
+        for t in subjects:
+            for bound in range(5):
+                if len(rewrite_search(trs, t, bound)) > self.MAX_TERMS:
+                    break
+                for threshold in thresholds:
+                    for innermost in (False, True):
+                        new = rewrite_search(trs, t, bound, threshold, innermost)
+                        old = reference_rewrite_search(trs, t, bound, threshold, innermost)
+                        assert list(new.items()) == list(old.items()), (trs.rules, t, bound)
+                        steps += sum(len(tr) for entries in new.values() for _, tr in entries)
+        return steps
+
+    def same_joins(self, trs, subjects):
+        """Compare both joinability tests on neighbouring subjects; return
+        how many pairs joined."""
+        degrees = [r.degree for r in trs.rules]
+        thresholds = (None, q_tensor(degrees[0], degrees[-1]))
+        joined = 0
+        for t, s in zip(subjects, subjects[1:] + subjects[:1]):
+            for bound in range(5):
+                pair = App(EQ_SYMBOL, (t, s))
+                if len(rewrite_search(trs.extended, pair, bound)) > self.MAX_TERMS:
+                    break
+                for threshold in thresholds:
+                    entry = joinable(trs, t, s, bound, threshold)
+                    assert entry == reference_joinable(trs, t, s, bound, threshold), \
+                        (trs.rules, t, s, bound)
+                    joined += entry is not None
+        return joined
+
+    def test_fixture_systems(self, peano, cubic, chain, unbalanced, innermost_system):
+        rng = random.Random(21)
+        for trs in (peano, cubic, chain, unbalanced, innermost_system):
+            subjects = subjects_for(rng, trs, 4)
+            assert self.same_search_steps(trs, subjects) > 0
+            assert self.same_joins(trs, subjects) > 0
+            pairs = [App(EQ_SYMBOL, (a, b)) for a, b in zip(subjects, subjects[1:])]
+            pairs += [App(EQ_SYMBOL, (a, a)) for a in subjects[:3]]
+            assert self.same_search_steps(trs.extended, pairs) > 0
+
+    def test_demo_systems(self):
+        rng = random.Random(22)
+        for path in sorted(DEMOS.glob("*.gtrs")):
+            pf = parse_file(str(path))
+            subjects = subjects_for(rng, pf.trs, 3)
+            subjects += [side for problem in pf.problems
+                         for side in (problem.left, problem.right)]
+            assert self.same_search_steps(pf.trs, subjects) > 0
+            assert self.same_joins(pf.trs, subjects) > 0
+            pairs = [App(EQ_SYMBOL, (problem.left, problem.right)) for problem in pf.problems]
+            assert self.same_search_steps(pf.trs.extended, pairs) > 0
+
+    def test_deeper_entry_replaces_shallower(self):
+        """c is reached in one step at degree 5, then in two at degree 0:
+        the better, deeper entry is the only one left."""
+        sig = Signature(L, {"a": (), "b": (), "c": ()})
+        a, b, c = App("a"), App("b"), App("c")
+        trs = GradedTrs(sig, (RewriteRule(L.degree(5), a, c), RewriteRule(L.degree(0), a, b),
+                              RewriteRule(L.degree(0), b, c)))
+        reached = rewrite_search(trs, a, 2)
+        assert [(d, [st.rule_index for st in tr])
+                for d, tr in reached[c]] == [(L.degree(0), [1, 2])]
+        assert list(reached.items()) == list(reference_rewrite_search(trs, a, 2).items())
+
+    def test_random_systems(self):
+        """All five quantales with non-identity sensitivities."""
+        rng = random.Random(23)
+        steps = joined = 0
+        for trial in range(20):
+            q = list(Quantale)[trial % 5]
+            cfg = SystemConfig(quantale=q, max_rules=4, n_constants=2, n_unary=1,
+                               n_binary=2, nontrivial_cbes=True)
+            trs = random_system(rng, cfg)
+            subjects = subjects_for(rng, trs, 1)
+            steps += self.same_search_steps(trs, subjects)
+            joined += self.same_joins(trs, subjects)
+        assert steps > 0 and joined > 0
 
 
 class TestJoinable:
