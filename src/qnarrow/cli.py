@@ -31,11 +31,22 @@ from .oracle import (
     verify_solution,
 )
 from .rewrite import TrsError, check_trs, innermost_rewrite_steps, rewrite_search, rewrite_steps
-from .term import App, position_to_str, vars_of
+from .term import App, is_ground, position_to_str, vars_of
 
 EXIT_FOUND = 0
 EXIT_NONE = 1
 EXIT_USAGE = 2
+
+
+def _count(text: str) -> int:
+    """A non-negative integer option value (a search bound)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _load(args) -> ProblemFile:
@@ -50,6 +61,7 @@ def _solve_problem(pf: ProblemFile, problem, args):
         order=getattr(args, "order", "bfs"),
         max_steps=getattr(args, "max_steps", 10),
         max_solutions=getattr(args, "max_solutions", None),
+        max_configs=args.max_configs,
     )
 
 
@@ -151,6 +163,9 @@ def cmd_oracle(args) -> int:
     bounds = OracleBounds(max_term_depth=args.depth)
     if args.pool:
         pool = parse_terms_text(pf, args.pool)
+        if not all(is_ground(term) for term in pool):
+            print("error: pool terms must be ground", file=sys.stderr)
+            return EXIT_USAGE
     else:
         pool = tuple(App(c) for c in pf.signature.constants())
     exit_code = EXIT_FOUND
@@ -178,6 +193,8 @@ def cmd_oracle(args) -> int:
                 exit_code = EXIT_NONE
             if not result.solutions:
                 print("(no solutions to verify)")
+            if result.stopped == "config-limit":
+                print("(search config-limit)")
         else:
             ranked = enumerate_best_unifiers(pf.trs, problem.left, problem.right,
                                              pool, bounds)
@@ -205,8 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("file")
     p_solve.add_argument("--strategy", choices=("eager-su", "lazy"), default="eager-su")
     p_solve.add_argument("--order", choices=("bfs", "iddfs", "best-first"), default="bfs")
-    p_solve.add_argument("--max-steps", type=int, default=10)
-    p_solve.add_argument("--max-solutions", type=int, default=None)
+    p_solve.add_argument("--max-steps", type=_count, default=10)
+    p_solve.add_argument("--max-solutions", type=_count, default=None)
+    p_solve.add_argument("--max-configs", type=_count, default=None,
+                         help="stop each search after expanding N configurations")
     p_solve.add_argument("--trace", action="store_true")
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(handler=cmd_solve)
@@ -214,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rw = sub.add_parser("rewrite", help="list rewrite steps or reachable terms")
     p_rw.add_argument("file")
     p_rw.add_argument("--term", required=True)
-    p_rw.add_argument("--steps", type=int, default=1)
+    p_rw.add_argument("--steps", type=_count, default=1)
     p_rw.add_argument("--innermost", action="store_true")
     p_rw.add_argument("--trace", action="store_true")
     p_rw.set_defaults(handler=cmd_rewrite)
@@ -222,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nr = sub.add_parser("narrow", help="list narrowing results from a term")
     p_nr.add_argument("file")
     p_nr.add_argument("--term", required=True)
-    p_nr.add_argument("--steps", type=int, default=1)
+    p_nr.add_argument("--steps", type=_count, default=1)
     p_nr.add_argument("--basic", action="store_true")
     p_nr.set_defaults(handler=cmd_narrow)
 
@@ -230,9 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("file")
     p_or.add_argument("--pool", default=None,
                       help="comma-separated ground terms for variable instantiation")
-    p_or.add_argument("--depth", type=int, default=10)
+    p_or.add_argument("--depth", type=_count, default=10)
     p_or.add_argument("--verify", action="store_true")
-    p_or.add_argument("--max-steps", type=int, default=8)
+    p_or.add_argument("--max-steps", type=_count, default=8)
+    p_or.add_argument("--max-configs", type=_count, default=None,
+                      help="with --verify, stop each search after N configurations")
     p_or.set_defaults(handler=cmd_oracle)
 
     p_ck = sub.add_parser("check", help="print the attribute report of a file")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .quantale import QuantaleValue, cbe_apply, cbe_equal, q_leq, q_tensor
 from .term import (
@@ -226,6 +226,43 @@ def innermost_rewrite_steps(trs: GradedTrs, s: Term) -> list[RewriteStep]:
 
 Trace = tuple[RewriteStep, ...]
 ReachEntry = tuple[QuantaleValue, Trace]
+Accepted = tuple[Term, QuantaleValue, Trace]
+
+
+def _search(trs: GradedTrs, start: Term, max_steps: int,
+            threshold: Optional[QuantaleValue],
+            expand: Callable[[GradedTrs, Term], list[RewriteStep]],
+            ) -> tuple[dict[Term, list[ReachEntry]], list[Accepted]]:
+    """The round loop of the bounded searches: the antichain of entries
+    kept per reached term, and every entry ever accepted, in order.  An
+    accepted entry's depth is its trace length, and the accepted entries of
+    depth at most i dominate every trace of at most i steps."""
+    unit = trs.quantale.unit
+    # Each term keeps an antichain of entries in the order found.  Depths
+    # need not be kept: the search goes one step deeper per round, so every
+    # entry was reached at most as deep as any later candidate, whose
+    # leftover depth can then never pay off.
+    reached: dict[Term, list[ReachEntry]] = {start: [(unit, ())]}
+    accepted: list[Accepted] = [(start, unit, ())]
+    expanded = 0
+    for _ in range(max_steps):
+        frontier = accepted[expanded:]
+        if not frontier:
+            break
+        expanded = len(accepted)
+        for term, degree, trace in frontier:
+            for step in expand(trs, term):
+                new_degree = q_tensor(degree, step.degree)
+                if threshold is not None and not q_leq(threshold, new_degree):
+                    continue
+                entries = reached.setdefault(step.result, [])
+                if any(q_leq(new_degree, d) for d, _ in entries):
+                    continue
+                new_trace = trace + (step,)
+                entries[:] = [e for e in entries if not q_leq(e[0], new_degree)]
+                entries.append((new_degree, new_trace))
+                accepted.append((step.result, new_degree, new_trace))
+    return reached, accepted
 
 
 def rewrite_search(trs: GradedTrs, start: Term, max_steps: int,
@@ -241,40 +278,57 @@ def rewrite_search(trs: GradedTrs, start: Term, max_steps: int,
     """
     check_terms(trs.signature, (start,), "start term")
     expand = innermost_rewrite_steps if innermost else rewrite_steps
-    unit = trs.quantale.unit
-    # Each term keeps an antichain of entries in the order found, returned
-    # as it is.  Depths need not be kept: the search goes one step deeper
-    # per round, so every entry was reached at most as deep as any later
-    # candidate, whose leftover depth can then never pay off.
-    reached: dict[Term, list[ReachEntry]] = {start: [(unit, ())]}
-    frontier: list[tuple[Term, QuantaleValue, Trace]] = [(start, unit, ())]
-    for _ in range(max_steps):
-        next_frontier = []
-        for term, degree, trace in frontier:
-            for step in expand(trs, term):
-                new_degree = q_tensor(degree, step.degree)
-                if threshold is not None and not q_leq(threshold, new_degree):
-                    continue
-                entries = reached.setdefault(step.result, [])
-                if any(q_leq(new_degree, d) for d, _ in entries):
-                    continue
-                new_trace = trace + (step,)
-                entries[:] = [e for e in entries if not q_leq(e[0], new_degree)]
-                entries.append((new_degree, new_trace))
-                next_frontier.append((step.result, new_degree, new_trace))
-        frontier = next_frontier
-        if not frontier:
-            break
-    return reached
+    return _search(trs, start, max_steps, threshold, expand)[0]
 
 
 def joinable(trs: GradedTrs, t: Term, s: Term, max_steps: int,
              threshold: Optional[QuantaleValue] = None) -> Optional[ReachEntry]:
     """Best degree at which t and s rewrite to a common term within the
-    bound, found by searching `t =? s` for `true` over the extended system.
-    Both terms must fit the system's signature, or TrsError is raised."""
+    bound, with a witnessing trace from `t =? s` to `true` over the
+    extended system.  The system must be unextended and both terms must
+    fit its signature, or TrsError is raised.
+
+    `=?` has identity sensitivities and only the unit-degree join rule
+    rewrites it, so a join in at most max_steps steps is i steps from t
+    and j steps from s to a common term u, with i + j <= max_steps - 1,
+    at the tensor of the two sides' degrees.  Each side is searched once,
+    to max_steps - 1 steps and pruned by the threshold (sound because the
+    tensor is deflationary); the sides meet on the terms both reach.  Of
+    the best joins, a shortest is returned; its trace takes the steps on t
+    (at positions under 1), then those on s (under 2), then the root join.
+    """
+    if trs.signature.is_extended:
+        raise TrsError("joinable expects the unextended system")
     check_terms(trs.signature, (t, s), "joinability problem")
+    if max_steps < 1:
+        return None
+    extended = trs.extended
+    bound = max_steps - 1
+    _, left = _search(extended, t, bound, threshold, rewrite_steps)
+    from_t: dict[Term, list[ReachEntry]] = {}
+    for u, degree, trace in left:
+        from_t.setdefault(u, []).append((degree, trace))
+    _, right = _search(extended, s, bound, threshold, rewrite_steps)
+    best = None
+    for u, right_degree, right_trace in right:
+        for left_degree, left_trace in from_t.get(u, ()):
+            length = len(left_trace) + len(right_trace)
+            if length > bound:
+                break  # entries come in order of depth
+            degree = q_tensor(left_degree, right_degree)
+            if threshold is not None and not q_leq(threshold, degree):
+                continue
+            if best is None or not q_leq(degree, best[0]) or \
+                    (degree == best[0] and length < best[1]):
+                best = (degree, length, u, left_trace, right_trace)
+    if best is None:
+        return None
+    degree, _, u, left_trace, right_trace = best
+    trace = [RewriteStep((1,) + st.position, st.rule_index, st.subst, st.degree,
+                         App(EQ_SYMBOL, (st.result, s))) for st in left_trace]
+    trace += [RewriteStep((2,) + st.position, st.rule_index, st.subst, st.degree,
+                          App(EQ_SYMBOL, (u, st.result))) for st in right_trace]
     goal = App(TRUE_SYMBOL)
-    reached = rewrite_search(trs.extended, App(EQ_SYMBOL, (t, s)), max_steps, threshold)
-    entries = reached.get(goal)
-    return entries[0] if entries else None
+    trace += [next(st for st in rewrite_steps(extended, App(EQ_SYMBOL, (u, u)))
+                   if not st.position and st.result == goal)]
+    return degree, tuple(trace)

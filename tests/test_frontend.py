@@ -353,6 +353,45 @@ class TestCli:
         assert code == 0
         assert "CONFIRMED solution {x -> d} degree 4" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["rewrite", "innermost.gtrs", "--term", "f(a)", "--steps", "-2"],
+        ["solve", "peano.gtrs", "--max-steps", "-1"],
+        ["narrow", "cubic.gtrs", "--term", "f(a, b, d)", "--steps", "-1"],
+        ["oracle", "peano.gtrs", "--depth", "-1"],
+    ])
+    def test_negative_bounds_exit_two(self, argv, capsys):
+        """A negative search bound is a usage error, not a search that found
+        nothing."""
+        command, name, *flags = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(DEMOS / name), *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument" in captured.err and "non-negative" in captured.err
+
+    def test_oracle_non_ground_pool_exits_two(self, capsys):
+        """The pool is checked when it is parsed, before any output."""
+        code = main(["oracle", str(DEMOS / "cubic.gtrs"), "--pool", "a,x"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: pool terms must be ground\n"
+
+    def test_max_configs_stops_the_search(self, capsys):
+        peano = str(DEMOS / "peano.gtrs")
+        assert main(["solve", peano, "--strategy", "lazy", "--max-configs", "5"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "(0 solutions, search config-limit)"
+        main(["solve", peano, "--strategy", "lazy", "--max-configs", "5", "--json"])
+        problem = json.loads(capsys.readouterr().out)["problems"][0]
+        assert problem["stopped"] == "config-limit"
+        assert problem["configs_expanded"] == 5
+        main(["oracle", peano, "--verify", "--max-configs", "5"])
+        assert capsys.readouterr().out.splitlines()[-1] == "(search config-limit)"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", peano, "--max-configs", "-1"])
+        assert exc.value.code == 2
+
     def test_check_report(self, capsys):
         code = main(["check", str(DEMOS / "cubic.gtrs")])
         out = capsys.readouterr().out

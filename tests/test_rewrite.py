@@ -398,6 +398,22 @@ def reference_joinable(trs, t, s, max_steps, threshold=None):
     return best
 
 
+def assert_join_replays(trs, pair, entry, bound):
+    """Each step of the join trace is a step `rewrite_steps` offers from the
+    previous term (same position, rule, degree and result), and the trace
+    reaches `true` within the bound at the entry's degree."""
+    degree, trace = entry
+    assert 0 < len(trace) <= bound
+    term, acc = pair, trs.quantale.unit
+    for step in trace:
+        key = (step.position, step.rule_index, step.degree, step.result)
+        assert key in [(st.position, st.rule_index, st.degree, st.result)
+                       for st in rewrite_steps(trs.extended, term)], (term, step)
+        term, acc = step.result, q_tensor(acc, step.degree)
+    assert term == App(TRUE_SYMBOL)
+    assert acc == degree
+
+
 class TestRewriteSearchReference:
     """One antichain per term must reproduce the depth-tagged book with its
     closing maximal pass: the same terms, degrees, traces and order."""
@@ -425,8 +441,9 @@ class TestRewriteSearchReference:
         return steps
 
     def same_joins(self, trs, subjects):
-        """Compare both joinability tests on neighbouring subjects; return
-        how many pairs joined."""
+        """Compare both joinability tests on neighbouring subjects: the same
+        degree (or no join), and a trace that replays from `t =? s` to `true`
+        within the bound at that degree; return how many pairs joined."""
         degrees = [r.degree for r in trs.rules]
         thresholds = (None, q_tensor(degrees[0], degrees[-1]))
         joined = 0
@@ -437,9 +454,13 @@ class TestRewriteSearchReference:
                     break
                 for threshold in thresholds:
                     entry = joinable(trs, t, s, bound, threshold)
-                    assert entry == reference_joinable(trs, t, s, bound, threshold), \
-                        (trs.rules, t, s, bound)
-                    joined += entry is not None
+                    old = reference_joinable(trs, t, s, bound, threshold)
+                    where = (trs.rules, t, s, bound, threshold)
+                    assert (entry is None) == (old is None), where
+                    if entry is not None:
+                        assert entry[0] == old[0], where
+                        assert_join_replays(trs, pair, entry, bound)
+                        joined += 1
         return joined
 
     def test_fixture_systems(self, peano, cubic, chain, unbalanced, innermost_system):
@@ -476,6 +497,21 @@ class TestRewriteSearchReference:
                 for d, tr in reached[c]] == [(L.degree(0), [1, 2])]
         assert list(reached.items()) == list(reference_rewrite_search(trs, a, 2).items())
 
+    def test_join_needs_the_shallower_entry(self):
+        """a reaches c in one step at degree 5 and in two at degree 0; d
+        reaches c in one step.  Within 3 steps only the shallower, worse
+        entry for c leaves room for d's step and the root join."""
+        sig = Signature(L, {"a": (), "b": (), "c": (), "d": ()})
+        a, b, c, d = App("a"), App("b"), App("c"), App("d")
+        trs = GradedTrs(sig, (RewriteRule(L.degree(5), a, c), RewriteRule(L.degree(0), a, b),
+                              RewriteRule(L.degree(0), b, c), RewriteRule(L.degree(0), d, c)))
+        for bound, expected in ((3, L.degree(5)), (4, L.degree(0))):
+            entry = joinable(trs, a, d, bound)
+            assert entry is not None
+            assert entry[0] == expected == reference_joinable(trs, a, d, bound)[0]
+            assert_join_replays(trs, App(EQ_SYMBOL, (a, d)), entry, bound)
+        assert joinable(trs, a, d, 2) is None is reference_joinable(trs, a, d, 2)
+
     def test_random_systems(self):
         """All five quantales with non-identity sensitivities."""
         rng = random.Random(23)
@@ -497,6 +533,9 @@ class TestJoinable:
             for t, s in ((term, Z), (term, term), (Z, term)):
                 with pytest.raises(TrsError):
                     joinable(peano, t, s, 1)
+        # the root of `t =? s` is the extension's alone
+        with pytest.raises(TrsError, match="unextended"):
+            joinable(peano.extended, Z, Z, 1)
 
     def test_identical_terms_unit(self, peano):
         t = plus(Z, S(Z))
@@ -512,3 +551,21 @@ class TestJoinable:
         a, b, c, d = (App(n) for n in "abcd")
         entry = joinable(cubic, f(c, c, c), f(a, b, d), 6)
         assert entry is not None and entry[0] == L.degree(3)
+
+    def test_trace_order(self, cubic):
+        """Steps on t (under position 1), then steps on s (under 2), then the
+        root join, each a step the extended system offers."""
+        f = lambda *ts: App("f", tuple(ts))
+        a, b, c, d = (App(n) for n in "abcd")
+        t, s = f(c, c, c), f(a, b, d)
+        entry = joinable(cubic, t, s, 6)
+        assert_join_replays(cubic, App(EQ_SYMBOL, (t, s)), entry, 6)
+        sides = [st.position[:1] for st in entry[1]]
+        assert sides == sorted(sides, key=lambda side: side or (3,))
+        assert sides[-1] == () and (1,) in sides and (2,) in sides
+
+    def test_meeting_term_with_the_join_variable(self, peano):
+        """The common term is x itself, the join rule's own variable."""
+        entry = joinable(peano, plus(X, Z), X, 2)
+        assert entry[0] == L.unit
+        assert_join_replays(peano, App(EQ_SYMBOL, (plus(X, Z), X)), entry, 2)
