@@ -549,16 +549,10 @@ class TestJoinable:
     def test_cubic_meet_in_the_middle(self, cubic):
         f = lambda *ts: App("f", tuple(ts))
         a, b, c, d = (App(n) for n in "abcd")
-        entry = joinable(cubic, f(c, c, c), f(a, b, d), 6)
-        assert entry is not None and entry[0] == L.degree(3)
-
-    def test_trace_order(self, cubic):
-        """Steps on t (under position 1), then steps on s (under 2), then the
-        root join, each a step the extended system offers."""
-        f = lambda *ts: App("f", tuple(ts))
-        a, b, c, d = (App(n) for n in "abcd")
         t, s = f(c, c, c), f(a, b, d)
         entry = joinable(cubic, t, s, 6)
+        assert entry is not None and entry[0] == L.degree(3)
+        # steps on t (under position 1), then on s (under 2), then the root join
         assert_join_replays(cubic, App(EQ_SYMBOL, (t, s)), entry, 6)
         sides = [st.position[:1] for st in entry[1]]
         assert sides == sorted(sides, key=lambda side: side or (3,))
