@@ -193,6 +193,7 @@ def cmd_oracle(args) -> int:
                 exit_code = EXIT_NONE
             if not result.solutions:
                 print("(no solutions to verify)")
+                exit_code = EXIT_NONE
             if result.stopped == "config-limit":
                 print("(search config-limit)")
         else:

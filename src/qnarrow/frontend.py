@@ -47,6 +47,9 @@ from .term import (
 
 _QUANTALE_NAMES = {q.value: q for q in Quantale}
 
+# The largest arity a `fun` declaration may give; a larger one is an error.
+MAX_ARITY = 256
+
 
 class GtrsError(Exception):
     """A parse or validation error with its source position."""
@@ -230,7 +233,11 @@ class _Parser:
         arity_tok = lp.next("an arity")
         if arity_tok.kind != "number" or "/" in arity_tok.text:
             lp.error(f"expected an arity, found {arity_tok.text!r}", arity_tok)
-        arity = int(arity_tok.text)
+        # lengths first: int() refuses a string of more than 4,300 digits
+        digits = arity_tok.text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_ARITY)) or int(digits) > MAX_ARITY:
+            lp.error(f"arity exceeds the limit of {MAX_ARITY}", arity_tok)
+        arity = int(digits)
         cbes: tuple[Cbe, ...]
         if lp.at_end():
             cbes = (CBE_ID,) * arity

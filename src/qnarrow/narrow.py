@@ -369,16 +369,20 @@ ORDERS = ("bfs", "iddfs", "best-first")
 #     inverted disjoint pair.  Its prefixes pass the threshold (the tensor
 #     is deflationary) and unify (their constraints are a subset of the
 #     final ones), so the canonical derivation is one the search may take;
-#   - `seen` merges states reached along different histories, so the node
-#     kept for a key may skip a step that a dropped one would take.  Each
-#     seen entry records the LP position its node was queued with (ROOT when
-#     unrestricted).  A dropped arrival below the bound with another
-#     position is queued for a redo, which builds just the LP steps the kept
-#     position skips and the arrival's does not, and the entry takes the
-#     arrival's position.  So every arrival's unskipped steps are taken from
-#     a node of its key at a depth no greater than its own, which carries
-#     the canonical derivation step by step to every state the unrestricted
-#     search reaches.  A redo is not counted as an expanded configuration;
+#   - `seen` keeps one arrival per key, at its least depth, and drops the
+#     others, which may skip other steps; no step is lost.  Write N.q for N
+#     followed by the LP at q.  Let N be built by an LP at p from M, and let
+#     N skip an LP step q (q > p, disjoint).  Disjoint steps commute, so N.q
+#     is M.q.p up to renaming.  q can be built from M: the subterm and grade
+#     at q are the same there, the threshold passes (the tensor is
+#     deflationary), and M.q's constraints are a subset of N.q's.  By
+#     induction on depth, some expanded node T with the key of M.q exists
+#     at depth <= depth(N).  T builds p unless it skips p, that is, unless T
+#     came by an LP at p' with p > p' disjoint; in that case the argument
+#     repeats from T's parent, with p pending.  The pending position
+#     strictly falls (q > p > p' > ...) in a finite set of positions, so the
+#     chain ends.  So every state the unrestricted search reaches is reached
+#     at the same least depth, whichever arrival `seen` keeps;
 #   - the depth-cut probe in `run` stays unrestricted: a commuted step at the
 #     bound still marks a branch the bound cut.
 
@@ -632,12 +636,10 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     # the step bound) and a finisher that emits what a popped node solves.
     # A successor comes with its cost in LP steps and the position of its LP,
     # or ROOT.  `after` is the LP position the node was queued with; LP steps
-    # that commute before it are skipped.  A `redo` position asks only for
-    # the LP steps an earlier expansion of the node's key skipped after that
-    # position.
+    # that commute before it are skipped.
 
-    def eager_successors(node: _Node, lp: bool, after: Position,
-                         redo: Optional[Position]) -> list[tuple["_Node", int, Position]]:
+    def eager_successors(node: _Node, lp: bool,
+                         after: Position) -> list[tuple["_Node", int, Position]]:
         nonlocal skipped
         out = []
         for p, i, rule, sub, factor in (lp_candidates(node) if lp else ()):
@@ -645,11 +647,8 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             if new_degree is None:
                 continue
             if after and _commutes_before(p, after):
-                if redo is None:
-                    skipped += 1
+                skipped += 1
                 continue
-            if redo is not None and not _commutes_before(p, redo):
-                continue  # an earlier expansion of this key built it
             lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
             new_bindings = dict(node.bindings)
             if not unifiable(((lhs, sub),), new_bindings):
@@ -663,8 +662,8 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             out.append((nxt, 1, p))
         return out
 
-    def lazy_successors(node: _Node, lp: bool, after: Position,
-                        redo: Optional[Position]) -> list[tuple["_Node", int, Position]]:
+    def lazy_successors(node: _Node, lp: bool,
+                        after: Position) -> list[tuple["_Node", int, Position]]:
         nonlocal skipped
         out = []
         for p, i, rule, sub, factor in (lp_candidates(node) if lp else ()):
@@ -672,11 +671,8 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             if new_degree is None:
                 continue
             if after and _commutes_before(p, after):
-                if redo is None:
-                    skipped += 1
+                skipped += 1
                 continue
-            if redo is not None and not _commutes_before(p, redo):
-                continue  # an earlier expansion of this key built it
             lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
             equation = (lhs, resolve(sub, node.bindings))
             solved = dict(node.solved or {})
@@ -685,8 +681,6 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             out.append((node.advance("LP", p, i, replace_at(node.goal, p, rhs),
                                      node.constraints | {equation}, node.bindings,
                                      new_degree, solved), 1, p))
-        if redo is not None:
-            return out
         if node.constraints:
             rho = mgu(node.constraints)
             if isinstance(rho, Substitution):
@@ -746,16 +740,15 @@ def solve(trs: GradedTrs, t: Term, s: Term,
 
     def run(order_name: str, bound: int) -> None:
         nonlocal expanded, depth_cut, stopped, built, merged
-        # key -> (least depth, LP position its node was queued with); a
-        # queued item is (node, depth, that position, redo position or None)
-        seen: dict[object, tuple[int, Position]] = {node_key(start): (0, ROOT)}
+        # key -> least depth; a queued item is (node, depth, LP position)
+        seen: dict[object, int] = {node_key(start): 0}
         if order_name == "bfs":
-            queue = deque([(start, 0, ROOT, None)])
+            queue = deque([(start, 0, ROOT)])
             pop = queue.popleft
             push = queue.append
         else:  # best-first on the accumulated degree
             seq = 0
-            heap = [(quantale.sort_key(start.degree), 0, start, 0, ROOT, None)]
+            heap = [(quantale.sort_key(start.degree), 0, start, 0, ROOT)]
 
             def pop():
                 return heapq.heappop(heap)[2:]
@@ -770,34 +763,28 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             if max_configs is not None and expanded >= max_configs:
                 stopped = "config-limit"
                 return
-            node, depth, after, redo = pop()
+            node, depth, after = pop()
+            expanded += 1
+            finish(node)
+            if max_solutions is not None and len(emitted) >= max_solutions:
+                stopped = "solution-limit"
+                return
             lp = depth < bound
-            if redo is None:
-                expanded += 1
-                finish(node)
-                if max_solutions is not None and len(emitted) >= max_solutions:
-                    stopped = "solution-limit"
-                    return
-                # at the bound LP successors would overrun it: skip building
-                # them, but record whether the bound cut a branch where LP
-                # could fire (an over-approximation: a compatible redex/rule
-                # pair may yet fail unification)
-                if not lp and not depth_cut and next(lp_candidates(node), None) is not None:
-                    depth_cut = True
-            for nxt, cost, last in successors(node, lp, after, redo):
+            # at the bound LP successors would overrun it: skip building them,
+            # but record whether the bound cut a branch where LP could fire
+            # (an over-approximation: a compatible redex/rule pair may yet
+            # fail unification)
+            if not lp and not depth_cut and next(lp_candidates(node), None) is not None:
+                depth_cut = True
+            for nxt, cost, last in successors(node, lp, after):
                 built += 1
                 new_depth = depth + cost
                 key = node_key(nxt)
-                kept = seen.get(key)
-                if kept is not None and kept[0] <= new_depth:
+                if seen.get(key, bound + 1) <= new_depth:
                     merged += 1
-                    if kept[1] and kept[1] != last and new_depth < bound:
-                        # the kept node may skip a step this one would take
-                        seen[key] = (kept[0], last)
-                        push((nxt, new_depth, last, kept[1]))
                     continue
-                seen[key] = (new_depth, last)
-                push((nxt, new_depth, last, None))
+                seen[key] = new_depth
+                push((nxt, new_depth, last))
 
     if order == "iddfs":
         # iterative deepening over the LP-step bound; each round is explored

@@ -9,6 +9,7 @@ import pytest
 from qnarrow import App, GtrsError, Quantale, Substitution, Var, parse, solve
 from qnarrow.cli import main
 from qnarrow.frontend import (
+    MAX_ARITY,
     ProblemFile,
     parse_term_text,
     parse_terms_text,
@@ -192,6 +193,15 @@ class TestDiagnostics:
         expect_error("quantale lawvere\nfun a/0\nfun a/1\n", "already declared")
         expect_error("quantale lawvere\nvar x\nvar x\n", "already declared")
 
+    def test_arity_limit(self):
+        """An arity above MAX_ARITY is rejected at its token, before any
+        per-argument table is built; one with 5,000 digits too."""
+        assert parse(f"quantale lawvere\nfun f/{MAX_ARITY}\nfun g/002\n").signature
+        for arity in (MAX_ARITY + 1, 10**15, "1" * 5000):
+            err = expect_error(f"quantale lawvere\nfun f/{arity}\n",
+                               f"arity exceeds the limit of {MAX_ARITY}")
+            assert (err.line, err.col) == (2, 7)
+
 
 class TestRendering:
     def test_solution_line(self):
@@ -268,6 +278,15 @@ class TestCli:
         path.write_text("quantale lawvere\nfun a/0\nfun b/0\n"
                         "solve a =? b threshold 0\n")
         assert main(["solve", str(path)]) == 1
+
+    def test_oracle_verify_without_solutions_exits_one(self, tmp_path, capsys):
+        """Nothing to verify is nothing found, as `solve` reports it."""
+        path = tmp_path / "none.gtrs"
+        path.write_text("quantale lawvere\nfun a/0\nfun b/0\n"
+                        "solve a =? b threshold 0\n")
+        assert main(["oracle", str(path), "--verify"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "problem a =? b", "(no solutions to verify)"]
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.gtrs"

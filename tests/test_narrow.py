@@ -1124,6 +1124,63 @@ class TestReferenceEngine:
             assert {sol[:2] for sol in ordered(limited)} >= \
                 {sol[:2] for sol in ordered(limited_reference)}, strategy
 
+    def test_merged_arrival_that_skips_another_step(self):
+        """Two arrivals of one key at one depth came by LP steps at different
+        positions, so they skip different steps; `seen` keeps one of them.
+        The smallest request found where that happens below the bound."""
+        pf = parse("quantale lawvere-max\nvar u w\nfun a/0\nfun b/0\nfun c/0\n"
+                   "fun f/1 : (scale(2))\nfun g/2 : (id, id)\n"
+                   "rule 0 : c -> f(b)\nrule 0 : c -> c\n"
+                   "solve g(u, c) =? f(g(w, c))\n")
+        problem = pf.problems[0]
+        for strategy in STRATEGIES:
+            for order in ORDERS:
+                for steps in (1, 2, 3):
+                    kwargs = dict(strategy=strategy, order=order, max_steps=steps)
+                    reference = reference_solve(pf.trs, problem.left, problem.right,
+                                                **kwargs)
+                    result = solve(pf.trs, problem.left, problem.right, **kwargs)
+                    assert_matches_reference(result, reference, (strategy, order, steps))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), quantale=st.sampled_from(list(Quantale)),
+           steps=st.integers(1, 3))
+    def test_random_systems_reach_the_reference_states(self, seed, quantale, steps):
+        """Skipping commuted steps loses no state: on eager (whose nodes carry
+        no constraints, so their keys do not depend on fresh indices) `solve`
+        builds a node of every state `reference_solve` builds, and no other."""
+        rng = random.Random(seed)
+        cfg = SystemConfig(quantale=quantale, n_constants=2, n_unary=1, n_binary=1,
+                           max_rules=3, nontrivial_cbes=True)
+        trs = random_system(rng, cfg)
+        t, s = random_linear_problem(rng, trs)
+        for order in ORDERS:
+            kwargs = dict(strategy="eager-su", order=order, max_steps=steps)
+            assert reached_states(solve, trs, t, s, **kwargs) == \
+                reached_states(reference_solve, trs, t, s, **kwargs), order
+
+
+def reached_states(engine, trs, t, s, **kwargs) -> set:
+    """The reference keys of every node the engine keyed during one call."""
+    reached = set()
+    scope = engine.__globals__
+    make_key = scope["_key_function"]
+
+    def recording_key_function(problem_vars):
+        node_key = make_key(problem_vars)
+
+        def key(node):
+            reached.add(reference_node_key(node, problem_vars))
+            return node_key(node)
+        return key
+
+    scope["_key_function"] = recording_key_function
+    try:
+        engine(trs, t, s, **kwargs)
+    finally:
+        scope["_key_function"] = make_key
+    return reached
+
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write-golden"]:
     GOLDEN.write_text(json.dumps({key: demo_outcome(key) for key in golden_keys()},
