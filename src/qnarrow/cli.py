@@ -21,7 +21,7 @@ from .frontend import (
     render_solution,
     render_trace,
 )
-from .narrow import NarrowError, derivations, solve
+from .narrow import ORDERS, STRATEGIES, NarrowError, derivations, solve
 from .oracle import (
     CONFIRMED,
     INCONCLUSIVE,
@@ -221,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve the file's unification problems")
     p_solve.add_argument("file")
-    p_solve.add_argument("--strategy", choices=("eager-su", "lazy"), default="eager-su")
-    p_solve.add_argument("--order", choices=("bfs", "iddfs", "best-first"), default="bfs")
+    p_solve.add_argument("--strategy", choices=STRATEGIES, default="eager-su")
+    p_solve.add_argument("--order", choices=ORDERS, default="bfs")
     p_solve.add_argument("--max-steps", type=_count, default=10)
     p_solve.add_argument("--max-solutions", type=_count, default=None)
     p_solve.add_argument("--max-configs", type=_count, default=None,

@@ -22,7 +22,6 @@ to LP.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -319,7 +318,7 @@ class SolveResult:
 
 
 STRATEGIES = ("eager-su", "lazy")
-ORDERS = ("bfs", "iddfs", "best-first")
+ORDERS = ("bfs", "best-first")
 
 
 # The search engine keeps substitutions in triangular form (see unify): a
@@ -383,7 +382,7 @@ ORDERS = ("bfs", "iddfs", "best-first")
 #     strictly falls (q > p > p' > ...) in a finite set of positions, so the
 #     chain ends.  So every state the unrestricted search reaches is reached
 #     at the same least depth, whichever arrival `seen` keeps;
-#   - the depth-cut probe in `run` stays unrestricted: a commuted step at the
+#   - the depth-cut probe in `solve` stays unrestricted: a commuted step at the
 #     bound still marks a branch the bound cut.
 
 
@@ -530,7 +529,10 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     LP and finishes a goal equation by Con then SU; "lazy" applies each rule
     as a step of its own, so constraints accumulate until SU discharges
     them.  A threshold prunes configurations whose degree falls below it;
-    max_steps bounds the number of LP applications on a branch.
+    max_steps bounds the number of LP applications on a branch.  The order
+    picks the queued configuration expanded next: "bfs" the one with the
+    fewest LP steps, "best-first" the one with the best degree, and among
+    equals the one queued first.  max_solutions=0 returns no solution.
     Configurations whose constraint set has no unifier are dropped the
     moment they arise (the clash rule cannot be outrun: constraint sets only
     grow).  Problem terms must use declared symbols with their declared
@@ -543,8 +545,8 @@ def solve(trs: GradedTrs, t: Term, s: Term,
         raise ValueError(f"unknown strategy {strategy!r}")
     if order not in ORDERS:
         raise ValueError(f"unknown order {order!r}")
-    if order == "best-first" and not trs.quantale.totally_ordered:
-        order = "bfs"
+    if max_solutions == 0:
+        return SolveResult([], False, "solution-limit")
 
     quantale = trs.quantale
     problem_vars = frozenset(vars_of(t) | vars_of(s))
@@ -606,7 +608,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
         """(position, rule index, rule, redex, degree factor); the position
         grade is accumulated along the traversal.  It draws no fresh
         variant (fresh indices decide the key's constraint order), so the
-        depth-cut probe in run can call it without altering the search."""
+        depth-cut probe can call it without altering the search."""
         e = node.goal
         if e == TRUE_TERM:
             return
@@ -738,65 +740,39 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     else:
         successors, finish = lazy_successors, lazy_finish
 
-    def run(order_name: str, bound: int) -> None:
-        nonlocal expanded, depth_cut, stopped, built, merged
-        # key -> least depth; a queued item is (node, depth, LP position)
-        seen: dict[object, int] = {node_key(start): 0}
-        if order_name == "bfs":
-            queue = deque([(start, 0, ROOT)])
-            pop = queue.popleft
-            push = queue.append
-        else:  # best-first on the accumulated degree
-            seq = 0
-            heap = [(quantale.sort_key(start.degree), 0, start, 0, ROOT)]
-
-            def pop():
-                return heapq.heappop(heap)[2:]
-
-            def push(item):
-                nonlocal seq
-                seq += 1
-                heapq.heappush(heap, (quantale.sort_key(item[0].degree), seq) + item)
-
-            queue = heap
-        while queue:
-            if max_configs is not None and expanded >= max_configs:
-                stopped = "config-limit"
-                return
-            node, depth, after = pop()
-            expanded += 1
-            finish(node)
-            if max_solutions is not None and len(emitted) >= max_solutions:
-                stopped = "solution-limit"
-                return
-            lp = depth < bound
-            # at the bound LP successors would overrun it: skip building them,
-            # but record whether the bound cut a branch where LP could fire
-            # (an over-approximation: a compatible redex/rule pair may yet
-            # fail unification)
-            if not lp and not depth_cut and next(lp_candidates(node), None) is not None:
-                depth_cut = True
-            for nxt, cost, last in successors(node, lp, after):
-                built += 1
-                new_depth = depth + cost
-                key = node_key(nxt)
-                if seen.get(key, bound + 1) <= new_depth:
-                    merged += 1
-                    continue
-                seen[key] = new_depth
-                push((nxt, new_depth, last))
-
-    if order == "iddfs":
-        # iterative deepening over the LP-step bound; each round is explored
-        # breadth-first (depth-monotone pops avoid re-expanding states that a
-        # depth-first round would rediscover at shallower depths)
-        for bound in range(0, max_steps + 1):
-            depth_cut = False
-            run("bfs", bound)
-            if stopped != "exhausted":
-                break
-    else:
-        run(order, max_steps)
+    # One frontier for both orders: a heap of (priority, arrival, node, depth,
+    # LP position).  `built` stamps arrivals, so equal priorities pop FIFO.
+    by_depth = order == "bfs"
+    seen: dict[object, int] = {node_key(start): 0}  # key -> least depth
+    frontier = [(0 if by_depth else quantale.sort_key(start.degree), 0, start, 0, ROOT)]
+    while frontier:
+        if max_configs is not None and expanded >= max_configs:
+            stopped = "config-limit"
+            break
+        _, _, node, depth, after = heapq.heappop(frontier)
+        expanded += 1
+        finish(node)
+        if max_solutions is not None and len(emitted) >= max_solutions:
+            stopped = "solution-limit"
+            break
+        lp = depth < max_steps
+        # at the bound LP successors would overrun it: skip building them,
+        # but record whether the bound cut a branch where LP could fire
+        # (an over-approximation: a compatible redex/rule pair may yet
+        # fail unification)
+        if not lp and not depth_cut and next(lp_candidates(node), None) is not None:
+            depth_cut = True
+        for nxt, cost, last in successors(node, lp, after):
+            built += 1
+            new_depth = depth + cost
+            key = node_key(nxt)
+            if seen.get(key, max_steps + 1) <= new_depth:
+                merged += 1
+                continue
+            seen[key] = new_depth
+            heapq.heappush(frontier, (
+                new_depth if by_depth else quantale.sort_key(nxt.degree),
+                built, nxt, new_depth, last))
 
     solutions = list(emitted.values())
     by_subst: dict[Substitution, list[Solution]] = {}

@@ -279,6 +279,27 @@ class TestCli:
                         "solve a =? b threshold 0\n")
         assert main(["solve", str(path)]) == 1
 
+    @pytest.mark.parametrize("strategy", ["eager-su", "lazy"])
+    def test_zero_solution_limit_exits_one(self, strategy, tmp_path, capsys):
+        """--max-solutions 0 reports no solution, though x =? a is solved
+        at the start."""
+        path = tmp_path / "loop.gtrs"
+        path.write_text("quantale lawvere\nvar x\nfun a/0\nrule 1 : a -> a\n"
+                        "solve x =? a\n")
+        assert main(["solve", str(path), "--strategy", strategy,
+                     "--max-solutions", "0"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "(0 solutions, search solution-limit)"
+
+    def test_unknown_order_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(DEMOS / "peano.gtrs"), "--order", "iddfs"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--order" in errors[0]
+
     def test_oracle_verify_without_solutions_exits_one(self, tmp_path, capsys):
         """Nothing to verify is nothing found, as `solve` reports it."""
         path = tmp_path / "none.gtrs"

@@ -175,6 +175,9 @@ PEANO_DERIVATION_TWO = [
     ((2,), 2), ((), 3),
 ]
 
+# x =? a is solved at once, but LP can rewrite a -> a without end
+LOOP_FILE = parse("quantale lawvere\nvar x\nfun a/0\nrule 1 : a -> a\nsolve x =? a\n")
+
 
 class TestWorkedDerivations:
     def test_first_derivation(self, peano):
@@ -350,7 +353,7 @@ class TestSolve:
         for trs, t, s, depth in problems:
             reference = None
             for strategy in ("eager-su", "lazy"):
-                for order in ("bfs", "iddfs", "best-first"):
+                for order in ORDERS:
                     result = solve(trs, t, s, strategy=strategy, order=order,
                                    max_steps=depth)
                     found = {(sol.subst, sol.degree) for sol in result.solutions}
@@ -472,6 +475,26 @@ class TestSolve:
                             max_solutions=1)
             assert limited.stopped == "solution-limit"
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_zero_solution_limit(self, strategy):
+        """max_solutions=0 returns no solution, even one the start node
+        already solves."""
+        problem = LOOP_FILE.problems[0]
+        result = solve(LOOP_FILE.trs, problem.left, problem.right,
+                       strategy=strategy, max_solutions=0)
+        assert result.solutions == []
+        assert not result.complete and result.stopped == "solution-limit"
+
+    def test_lazy_bfs_pops_by_lp_depth(self):
+        """Con and SU cost no LP step, so lazy bfs expands them before the
+        LP chain of a -> a and solves x =? a within three configurations."""
+        problem = LOOP_FILE.problems[0]
+        result = solve(LOOP_FILE.trs, problem.left, problem.right, strategy="lazy",
+                       order="bfs", max_configs=3)
+        assert [(str(sol.subst), str(sol.degree)) for sol in result.solutions] == \
+            [("{x -> a}", "0")]
+        assert result.stopped == "config-limit"
+
     def test_deep_solution(self):
         """A solution nested 300 deep is found and rendered (the solutions
         are sorted by their rendered substitutions)."""
@@ -581,7 +604,6 @@ GOLDEN = Path(__file__).resolve().parent / "golden_demos.json"
 # search, and bounds at which the lazy Peano frontier stays small
 GOLDEN_SETTINGS = (
     ("eager-su", "bfs", 10), ("lazy", "bfs", 4),
-    ("eager-su", "iddfs", 6), ("lazy", "iddfs", 3),
     ("eager-su", "best-first", 6), ("lazy", "best-first", 3),
 )
 # a missing file fails test_covers_every_demo_problem
@@ -699,10 +721,6 @@ def reference_node_key(node, problem_vars):
     return tuple(out)
 
 
-# the golden bounds of the orders that share one seen-table per solve
-KEY_SETTINGS = [setting for setting in GOLDEN_SETTINGS if setting[1] != "iddfs"]
-
-
 class TestStateKeys:
     @pytest.mark.parametrize("stem", sorted(path.stem for path in DEMOS.glob("*.gtrs")))
     def test_partition_matches_reference(self, stem, monkeypatch):
@@ -725,7 +743,7 @@ class TestStateKeys:
         monkeypatch.setattr(narrow, "_key_function", recording_key_function)
         pf = parse_file(str(DEMOS / f"{stem}.gtrs"))
         for problem in pf.problems:
-            for strategy, order, steps in KEY_SETTINGS:
+            for strategy, order, steps in GOLDEN_SETTINGS:
                 pairs.clear()
                 solve(pf.trs, problem.left, problem.right, threshold=problem.threshold,
                       strategy=strategy, order=order, max_steps=steps)
