@@ -47,8 +47,10 @@ from .term import (
 
 _QUANTALE_NAMES = {q.value: q for q in Quantale}
 
-# The largest arity a `fun` declaration may give; a larger one is an error.
+# The largest arity a `fun` declaration may give, and the largest exponent
+# of a `pow(n)` sensitivity; a larger one is an error.
 MAX_ARITY = 256
+MAX_POW = 64
 
 
 class GtrsError(Exception):
@@ -269,6 +271,9 @@ class _Parser:
             if arg.kind != "number":
                 lp.error(f"expected a number, found {arg.text!r}", arg)
             lp.expect(")")
+            if tok.text == "pow" and "/" not in arg.text and (  # lengths first
+                    len(arg.text.lstrip("0")) > len(str(MAX_POW)) or int(arg.text) > MAX_POW):
+                lp.error(f"pow exponent exceeds the limit of {MAX_POW}", arg)
             try:
                 cbe = (CbeScale(Fraction(arg.text)) if tok.text == "scale"
                        else CbePow(int(arg.text)))

@@ -323,15 +323,15 @@ ORDERS = ("bfs", "best-first")
 
 # The search engine keeps substitutions in triangular form (see unify): a
 # plain dict of bindings, extended copy-on-write and resolved on demand.
-# Extensions come from the shared solver run against the bindings (eager
-# LP+SU) or from mgu on constraints already resolved by them (lazy SU); both
-# bind only variables unbound in the current state, as rule variants are
+# Eager extends them by the shared solver run against the bindings (LP+SU);
+# it binds only variables unbound in the current state, as rule variants are
 # fresh, so nothing is rebound and resolution chains stay acyclic.  A lazy
-# node also carries the triangular solved form of its constraint set: LP
-# and Con solve just their one new equation against the parent's solved
-# form, which decides Cla without re-solving the set.  Idempotent
-# substitutions are materialized only for emitted solutions, by one
-# `resolve_all` per trace frame.
+# node carries no bindings but the triangular solved form of its constraint
+# set: LP and Con solve just their one new equation against the parent's
+# solved form, which decides Cla without re-solving the set, and the one SU
+# of `lazy_finish` discharges the set by `mgu`.  Idempotent substitutions
+# are materialized only for emitted solutions, by one `resolve_all` per
+# trace frame.
 #
 # Everything the search memoizes lives in tables local to one `solve` call
 # and dies with it:
@@ -356,12 +356,12 @@ ORDERS = ("bfs", "best-first")
 # disjoint positions commute: the goal is never instantiated, a step at p
 # leaves the subterm and the grade at a disjoint q unchanged, and every
 # quantale is commutative, so both orders reach the same goal, constraints
-# and degree, with bindings equal up to renaming.  A node whose last rule
-# was an LP at p (eager: the LP of the LP+SU pair; lazy: only when that LP
-# is the last frame, as SU and Con reset it) therefore skips every LP
-# candidate at a q disjoint from p that `lp_candidates` yields before p.
+# and degree, with bindings equal up to renaming.  Every queued node but the
+# start came by an LP at some p (eager: the LP of the LP+SU pair), so it
+# skips every LP candidate at a q disjoint from p that `lp_candidates`
+# yields before p.
 # That walk is preorder with children taken right to left, so q comes first
-# when q > p as tuples and p is not a prefix of q (`_commutes_before`).
+# when q > p as tuples and p is not a prefix of q (`lp_steps`).
 # This is exact:
 #   - any derivation becomes one without a skipped adjacent pair, of equal
 #     length and final state, by swapping such pairs; each swap removes one
@@ -384,14 +384,37 @@ ORDERS = ("bfs", "best-first")
 #     at the same least depth, whichever arrival `seen` keeps;
 #   - the depth-cut probe in `solve` stays unrestricted: a commuted step at the
 #     bound still marks a branch the bound cut.
+#
+# Lazy search queues LP steps only; `lazy_finish` ends each popped node by
+# Con and one SU.  An SU anywhere else reaches no other solution:
+#   - SU changes neither goal nor degree, so no LP or Con candidate, grade,
+#     factor or threshold test.  Dropping every SU from a derivation to a
+#     solution, recording each LP equation as (lhs, redex) for (lhs,
+#     sigma(redex)), and ending it by one SU keeps its LP steps, Con and LP
+#     depth.  No prefix clashes (the original's substitution unifies every
+#     equation), and `compatible` passes (a left side unifiable with an
+#     instance of a redex is compatible with the redex);
+#   - the final substitutions are equal.  With sigma1 = mgu(E1), sigma1
+#     composed with mgu(sigma1(E2)) is an mgu of E1 and E2, so staged SUs
+#     give an mgu of the whole set; the solver binds the fresher of two
+#     variables, so a class of variables unified with each other resolves
+#     to its least member by (index, name) in any order and staging, and the
+#     resolved mgu is unique.  Fresh indices rise in step order along a
+#     derivation in both searches, so `canonical_subst` renders alike;
+#   - conversely LP steps, Con and SU form a lazy derivation.  So without a
+#     config limit both schedules emit the same solutions and stop alike (a
+#     node at the bound after an SU has no LP candidate its SU-free twin
+#     lacks).
 
 
 @dataclass(frozen=True)
 class _Node:
     """Internal search state; traces snapshot the bindings per applied rule
-    and are resolved into BqTraceStep records only on emission.  `solved` is
-    the triangular solved form of the constraints (lazy strategy only; None
-    when there are none)."""
+    and are resolved into BqTraceStep records only on emission.  An eager
+    node has discharged its constraints into its bindings.  A lazy node has
+    no bindings: it collects its LP equations as constraints, and `solved`
+    is their triangular solved form (None when there are none), until one
+    Con and one SU discharge them when the node is popped."""
 
     goal: Term
     constraints: frozenset
@@ -508,12 +531,6 @@ def _key_function(problem_vars: frozenset[Var]):
 _UNSEEN = object()
 
 
-def _commutes_before(q: Position, p: Position) -> bool:
-    """Whether q is disjoint from p and comes before it in `lp_candidates`
-    order; ROOT as p is a prefix of every position, so it blocks nothing."""
-    return q > p and q[:len(p)] != p
-
-
 def solve(trs: GradedTrs, t: Term, s: Term,
           threshold: Optional[QuantaleValue] = None,
           strategy: str = "eager-su",
@@ -526,13 +543,14 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     Every configuration reaching goal true with no constraints is emitted as
     a solution (substitution restricted to the problem variables).  The
     strategy schedules the four rules: "eager-su" runs SU right after every
-    LP and finishes a goal equation by Con then SU; "lazy" applies each rule
-    as a step of its own, so constraints accumulate until SU discharges
-    them.  A threshold prunes configurations whose degree falls below it;
-    max_steps bounds the number of LP applications on a branch.  The order
-    picks the queued configuration expanded next: "bfs" the one with the
-    fewest LP steps, "best-first" the one with the best degree, and among
-    equals the one queued first.  max_solutions=0 returns no solution.
+    LP and finishes a goal equation by Con then SU; "lazy" collects the LP
+    equations as constraints, checks each new one against the solved form
+    of the others (Cla), and discharges them with one Con and one SU when a
+    node is popped.  A threshold prunes configurations whose degree falls
+    below it; max_steps bounds the number of LP applications on a branch.
+    The order picks the queued configuration expanded next: "bfs" the one
+    with the fewest LP steps, "best-first" the one with the best degree, and
+    among equals the one queued first.  max_solutions=0 returns no solution.
     Configurations whose constraint set has no unifier are dropped the
     moment they arise (the clash rule cannot be outrun: constraint sets only
     grow).  Problem terms must use declared symbols with their declared
@@ -606,14 +624,13 @@ def solve(trs: GradedTrs, t: Term, s: Term,
 
     def lp_candidates(node: _Node):
         """(position, rule index, rule, redex, degree factor); the position
-        grade is accumulated along the traversal.  It draws no fresh
-        variant (fresh indices decide the key's constraint order), so the
-        depth-cut probe can call it without altering the search."""
-        e = node.goal
-        if e == TRUE_TERM:
-            return
+        grade is accumulated along the traversal.  `compatible` walks the
+        node's bindings, so on lazy nodes, which have none, it compares the
+        redex as written; the solved form decides the rest.  It draws no
+        fresh variant (fresh indices decide the key's constraint order), so
+        the depth-cut probe can call it without altering the search."""
         bindings = node.bindings
-        stack = [(ROOT, e, 0)]
+        stack = [(ROOT, node.goal, 0)]
         while stack:
             p, sub, grade_id = stack.pop()
             args = sub.args
@@ -634,71 +651,45 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                     factor = factors[grade_id, i] = degrees.setdefault(factor, factor)
                 yield p, i, rule, sub, factor
 
-    # A strategy is a successor function (LP only when `lp`, that is below
-    # the step bound) and a finisher that emits what a popped node solves.
-    # A successor comes with its cost in LP steps and the position of its LP,
-    # or ROOT.  `after` is the LP position the node was queued with; LP steps
-    # that commute before it are skipped.
+    # A strategy yields the LP successors of a node below the step bound, each
+    # with its LP position, and finishes a popped node's goal equation (no
+    # rule has the head =?) by Con and one SU.  `after` is the LP position
+    # the node was queued with; LP steps that commute before it are skipped.
 
-    def eager_successors(node: _Node, lp: bool,
-                         after: Position) -> list[tuple["_Node", int, Position]]:
+    def lp_steps(node: _Node, after: Position):
+        """(position, rule index, fresh left side, fresh right side, redex,
+        degree) of every LP step the threshold and the skip leave."""
         nonlocal skipped
-        out = []
-        for p, i, rule, sub, factor in (lp_candidates(node) if lp else ()):
+        for p, i, rule, sub, factor in lp_candidates(node):
             new_degree = step(node.degree, factor)
             if new_degree is None:
                 continue
-            if after and _commutes_before(p, after):
+            if after and p > after and p[:len(after)] != after:  # commutes before
                 skipped += 1
                 continue
             lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
+            yield p, i, lhs, rhs, sub, new_degree
+
+    def eager_successors(node: _Node, after: Position) -> Iterator[tuple[_Node, Position]]:
+        for p, i, lhs, rhs, sub, new_degree in lp_steps(node, after):
             new_bindings = dict(node.bindings)
             if not unifiable(((lhs, sub),), new_bindings):
                 continue
             goal = replace_at(node.goal, p, rhs)
-            constraint = frozenset({(lhs, sub)})
-            nxt = node.advance("LP", p, i, goal, constraint,
+            nxt = node.advance("LP", p, i, goal, frozenset({(lhs, sub)}),
                                node.bindings, new_degree)
-            nxt = nxt.advance("SU", None, None, goal, frozenset(),
-                              new_bindings, new_degree)
-            out.append((nxt, 1, p))
-        return out
+            yield nxt.advance("SU", None, None, goal, frozenset(),
+                              new_bindings, new_degree), p
 
-    def lazy_successors(node: _Node, lp: bool,
-                        after: Position) -> list[tuple["_Node", int, Position]]:
-        nonlocal skipped
-        out = []
-        for p, i, rule, sub, factor in (lp_candidates(node) if lp else ()):
-            new_degree = step(node.degree, factor)
-            if new_degree is None:
-                continue
-            if after and _commutes_before(p, after):
-                skipped += 1
-                continue
-            lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
-            equation = (lhs, resolve(sub, node.bindings))
+    def lazy_successors(node: _Node, after: Position) -> Iterator[tuple[_Node, Position]]:
+        for p, i, lhs, rhs, sub, new_degree in lp_steps(node, after):
+            equation = (lhs, sub)
             solved = dict(node.solved or {})
             if not unifiable((equation,), solved):
                 continue  # Cla fires on this configuration
-            out.append((node.advance("LP", p, i, replace_at(node.goal, p, rhs),
-                                     node.constraints | {equation}, node.bindings,
-                                     new_degree, solved), 1, p))
-        if node.constraints:
-            rho = mgu(node.constraints)
-            if isinstance(rho, Substitution):
-                new_bindings = dict(node.bindings)
-                new_bindings.update(rho.items())
-                out.append((node.advance("SU", None, None, node.goal, frozenset(),
-                                         new_bindings, node.degree), 0, ROOT))
-        e = node.goal
-        if e != TRUE_TERM and _goal_is_equation(e):
-            equation = (resolve(e.args[0], node.bindings), resolve(e.args[1], node.bindings))
-            solved = dict(node.solved or {})
-            if unifiable((equation,), solved):
-                out.append((node.advance("Con", None, None, TRUE_TERM,
-                                         node.constraints | {equation},
-                                         node.bindings, node.degree, solved), 0, ROOT))
-        return out
+            yield node.advance("LP", p, i, replace_at(node.goal, p, rhs),
+                               node.constraints | {equation}, node.bindings,
+                               new_degree, solved), p
 
     emitted: dict[object, Solution] = {}
     expanded = built = merged = skipped = 0
@@ -715,25 +706,27 @@ def solve(trs: GradedTrs, t: Term, s: Term,
 
     def eager_finish(node: _Node) -> None:
         """Con then SU on the goal equation, emitted when it unifies."""
-        e = node.goal
-        if not _goal_is_equation(e):
-            return
         new_bindings = dict(node.bindings)
-        if not unifiable(((e.args[0], e.args[1]),), new_bindings):
+        if not unifiable((node.goal.args,), new_bindings):
             return
-        constraint = (resolve(e.args[0], node.bindings),
-                      resolve(e.args[1], node.bindings))
-        final = node.advance("Con", None, None, TRUE_TERM,
-                             node.constraints | {constraint},
+        constraint = tuple(resolve(side, node.bindings) for side in node.goal.args)
+        final = node.advance("Con", None, None, TRUE_TERM, frozenset({constraint}),
                              node.bindings, node.degree)
         final = final.advance("SU", None, None, TRUE_TERM, frozenset(),
                               new_bindings, node.degree)
         emit(final)
 
     def lazy_finish(node: _Node) -> None:
-        """Emit a node that Con and SU have already brought to true."""
-        if node.goal == TRUE_TERM and not node.constraints:
-            emit(node)
+        """Con on the goal equation, then one SU on every constraint,
+        emitted when the goal equation unifies with them."""
+        if not unifiable((node.goal.args,), dict(node.solved or {})):
+            return
+        constraints = node.constraints | {node.goal.args}
+        final = node.advance("Con", None, None, TRUE_TERM, constraints,
+                             node.bindings, node.degree)
+        final = final.advance("SU", None, None, TRUE_TERM, frozenset(),
+                              dict(mgu(constraints).items()), node.degree)
+        emit(final)
 
     if strategy == "eager-su":
         successors, finish = eager_successors, eager_finish
@@ -755,16 +748,17 @@ def solve(trs: GradedTrs, t: Term, s: Term,
         if max_solutions is not None and len(emitted) >= max_solutions:
             stopped = "solution-limit"
             break
-        lp = depth < max_steps
-        # at the bound LP successors would overrun it: skip building them,
-        # but record whether the bound cut a branch where LP could fire
-        # (an over-approximation: a compatible redex/rule pair may yet
-        # fail unification)
-        if not lp and not depth_cut and next(lp_candidates(node), None) is not None:
-            depth_cut = True
-        for nxt, cost, last in successors(node, lp, after):
+        if depth >= max_steps:
+            # at the bound LP successors would overrun it: build none, but
+            # record whether the bound cut a branch where LP could fire (an
+            # over-approximation: a compatible redex/rule pair may yet fail
+            # unification)
+            if not depth_cut and next(lp_candidates(node), None) is not None:
+                depth_cut = True
+            continue
+        new_depth = depth + 1
+        for nxt, last in successors(node, after):
             built += 1
-            new_depth = depth + cost
             key = node_key(nxt)
             if seen.get(key, max_steps + 1) <= new_depth:
                 merged += 1

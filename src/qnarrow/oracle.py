@@ -7,11 +7,11 @@ shortest-path problem.  It shares no search code with the solver: edges are
 enumerated from the rewrite relation directly and re-weighted from the
 grades, so agreement between the two is evidence, not tautology.
 
-Only totally ordered quantales are accepted here; every verdict is
-qualified by the exploration bounds.  Each conversion search keeps its own
-lookup tables (rule index, interned grades, degree factors and tensors) and
-checks its caps by arithmetic on the expanded node's shape; nothing it
-memoizes outlives the call.
+The search orders degrees totally, and all five shipped quantales are
+chains; every verdict is qualified by the exploration bounds.  Each
+conversion search keeps its own lookup tables (rule index, interned grades,
+degree factors and tensors) and checks its caps by arithmetic on the
+expanded node's shape; nothing it memoizes outlives the call.
 """
 
 from __future__ import annotations
@@ -287,8 +287,6 @@ def best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
     expansion; the targets of a start node deeper than the cap are
     measured directly.
     """
-    if not trs.quantale.totally_ordered:
-        raise OracleError("oracle requires a totally ordered quantale")
     if not is_ground(t) or not is_ground(s):
         raise OracleError("oracle works on ground terms")
     if instantiation_pool is None:

@@ -1,6 +1,9 @@
 """The rule-file format, diagnostics, rendering, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -10,6 +13,7 @@ from qnarrow import App, GtrsError, Quantale, Substitution, Var, parse, solve
 from qnarrow.cli import main
 from qnarrow.frontend import (
     MAX_ARITY,
+    MAX_POW,
     ProblemFile,
     parse_term_text,
     parse_terms_text,
@@ -23,6 +27,9 @@ from qnarrow.term import Position, position_from_str
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 PEANO_TEXT = (DEMOS / "peano.gtrs").read_text()
+
+HUGE_POW_TEXT = ("quantale fuzzy-product\nfun a/0\nfun b/0\nfun f/1 : (pow(100000))\n"
+                 "rule 1/3 : a -> b\nsolve f(a) =? f(b)\n")
 
 
 def render_problem_file(pf: ProblemFile) -> str:
@@ -202,6 +209,19 @@ class TestDiagnostics:
                                f"arity exceeds the limit of {MAX_ARITY}")
             assert (err.line, err.col) == (2, 7)
 
+    def test_pow_limit(self):
+        """A pow exponent above MAX_POW is rejected at its number, before
+        any degree is raised to it; one with 5,000 digits too."""
+        header = "quantale fuzzy-product\nfun a/0\n"
+        assert parse(header + f"fun f/1 : (pow({MAX_POW}))\n"
+                     f"fun g/1 : (pow(0{MAX_POW}))\n").signature
+        for exponent in (MAX_POW + 1, 100000, "1" * 5000):
+            err = expect_error(header + f"fun f/1 : (pow({exponent}))\n",
+                               f"pow exponent exceeds the limit of {MAX_POW}")
+            assert (err.line, err.col) == (3, 16)
+        err = expect_error(HUGE_POW_TEXT, "pow exponent exceeds")
+        assert (err.line, err.col) == (4, 16)
+
 
 class TestRendering:
     def test_solution_line(self):
@@ -326,6 +346,22 @@ class TestCli:
         assert main([command[0], str(path)] + command[1:]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_huge_pow_exits_two(self, tmp_path):
+        """The module entry point, as the installed console script runs it:
+        an exponent beyond MAX_POW is an input error, not a traceback."""
+        path = tmp_path / "hugepow.gtrs"
+        path.write_text(HUGE_POW_TEXT)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qnarrow.cli", "solve", str(path), "--max-steps", "1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert f"pow exponent exceeds the limit of {MAX_POW}" in proc.stderr
 
     def test_rewrite_innermost(self, capsys):
         code = main(["rewrite", str(DEMOS / "innermost.gtrs"),
