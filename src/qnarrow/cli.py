@@ -97,6 +97,9 @@ def cmd_solve(args) -> int:
                 "successors_built": result.successors_built,
                 "duplicates_merged": result.duplicates_merged,
                 "commuted_skipped": result.commuted_skipped,
+                "threshold_pruned": result.threshold_pruned,
+                "clash_pruned": result.clash_pruned,
+                "frontier_peak": result.frontier_peak,
             })
             continue
         header = f"problem {problem.left} =? {problem.right}"

@@ -34,7 +34,7 @@ from .quantale import (
     q_leq,
     q_tensor,
 )
-from .rewrite import GradedTrs, RewriteRule, TrsError, check_terms
+from .rewrite import GradedTrs, RewriteRule, TrsError, check_terms, check_threshold
 from .term import (
     App,
     EQ_SYMBOL,
@@ -312,9 +312,12 @@ class SolveResult:
     complete: bool
     stopped: str  # "exhausted" | "depth-limit" | "solution-limit" | "config-limit"
     configs_expanded: int = 0
-    successors_built: int = 0  # nodes the successor functions returned
+    successors_built: int = 0  # nodes the successor function returned
     duplicates_merged: int = 0  # of those, dropped as already seen
     commuted_skipped: int = 0  # LP steps left to their commuted order
+    threshold_pruned: int = 0  # LP candidates whose degree fell below the threshold
+    clash_pruned: int = 0  # LP steps dropped by Cla
+    frontier_peak: int = 0  # the most queued nodes at once
 
 
 STRATEGIES = ("eager-su", "lazy")
@@ -323,15 +326,16 @@ ORDERS = ("bfs", "best-first")
 
 # The search engine keeps substitutions in triangular form (see unify): a
 # plain dict of bindings, extended copy-on-write and resolved on demand.
-# Eager extends them by the shared solver run against the bindings (LP+SU);
-# it binds only variables unbound in the current state, as rule variants are
-# fresh, so nothing is rebound and resolution chains stay acyclic.  A lazy
-# node carries no bindings but the triangular solved form of its constraint
-# set: LP and Con solve just their one new equation against the parent's
-# solved form, which decides Cla without re-solving the set, and the one SU
-# of `lazy_finish` discharges the set by `mgu`.  Idempotent substitutions
-# are materialized only for emitted solutions, by one `resolve_all` per
-# trace frame.
+# Every node carries `solved`, the triangular solved form of its substitution
+# plus its pending constraints.  LP and Con solve just their one new equation
+# against a copy of the parent's solved form, which decides Cla without
+# re-solving anything; the solver binds only variables unbound in that form,
+# as rule variants are fresh, so nothing is rebound and resolution chains
+# stay acyclic.  The strategy decides only when SU runs: eager discharges
+# every LP at once, so its bindings are its solved form; lazy keeps no
+# bindings until the one SU of `finish` discharges the constraints by `mgu`.
+# Idempotent substitutions are materialized only for emitted solutions, by
+# one `resolve_all` per trace frame.
 #
 # Everything the search memoizes lives in tables local to one `solve` call
 # and dies with it:
@@ -361,7 +365,7 @@ ORDERS = ("bfs", "best-first")
 # skips every LP candidate at a q disjoint from p that `lp_candidates`
 # yields before p.
 # That walk is preorder with children taken right to left, so q comes first
-# when q > p as tuples and p is not a prefix of q (`lp_steps`).
+# when q > p as tuples and p is not a prefix of q (`successors`).
 # This is exact:
 #   - any derivation becomes one without a skipped adjacent pair, of equal
 #     length and final state, by swapping such pairs; each swap removes one
@@ -385,7 +389,7 @@ ORDERS = ("bfs", "best-first")
 #   - the depth-cut probe in `solve` stays unrestricted: a commuted step at the
 #     bound still marks a branch the bound cut.
 #
-# Lazy search queues LP steps only; `lazy_finish` ends each popped node by
+# Lazy search queues LP steps only; `finish` ends each popped node by
 # Con and one SU.  An SU anywhere else reaches no other solution:
 #   - SU changes neither goal nor degree, so no LP or Con candidate, grade,
 #     factor or threshold test.  Dropping every SU from a derivation to a
@@ -410,11 +414,12 @@ ORDERS = ("bfs", "best-first")
 @dataclass(frozen=True)
 class _Node:
     """Internal search state; traces snapshot the bindings per applied rule
-    and are resolved into BqTraceStep records only on emission.  An eager
-    node has discharged its constraints into its bindings.  A lazy node has
-    no bindings: it collects its LP equations as constraints, and `solved`
-    is their triangular solved form (None when there are none), until one
-    Con and one SU discharge them when the node is popped."""
+    and are resolved into BqTraceStep records only on emission.  `bindings`
+    is the calculus substitution, which the state key and the trace frames
+    read; `solved` is the triangular solved form of the bindings plus the
+    constraints.  An eager node has discharged its constraints, so both are
+    one dict.  A lazy node has no bindings: it collects its LP equations as
+    constraints until one Con and one SU discharge them when it is popped."""
 
     goal: Term
     constraints: frozenset
@@ -542,12 +547,14 @@ def solve(trs: GradedTrs, t: Term, s: Term,
 
     Every configuration reaching goal true with no constraints is emitted as
     a solution (substitution restricted to the problem variables).  The
-    strategy schedules the four rules: "eager-su" runs SU right after every
-    LP and finishes a goal equation by Con then SU; "lazy" collects the LP
-    equations as constraints, checks each new one against the solved form
-    of the others (Cla), and discharges them with one Con and one SU when a
-    node is popped.  A threshold prunes configurations whose degree falls
-    below it; max_steps bounds the number of LP applications on a branch.
+    strategy schedules the four rules and differs only in when SU runs.
+    Each LP checks its equation against the node's solved form (Cla), and
+    each popped node is finished by Con and one SU on its goal equation;
+    "eager-su" also runs SU right after every LP, while "lazy" collects the
+    LP equations as constraints until that final SU.  A threshold prunes
+    configurations whose degree falls below it, and must be a degree of the
+    system's quantale, or QuantaleMismatchError is raised before the search
+    starts; max_steps bounds the number of LP applications on a branch.
     The order picks the queued configuration expanded next: "bfs" the one
     with the fewest LP steps, "best-first" the one with the best degree, and
     among equals the one queued first.  max_solutions=0 returns no solution.
@@ -559,6 +566,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     if trs.signature.is_extended:
         raise TrsError("solve expects the unextended system")
     check_terms(trs.signature, (t, s), "problem term")
+    check_threshold(trs, threshold)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if order not in ORDERS:
@@ -570,7 +578,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     problem_vars = frozenset(vars_of(t) | vars_of(s))
     counter = FreshCounter(
         max_var_index([t, s] + [x for r in trs.rules for x in (r.lhs, r.rhs)]) + 1)
-    start = _Node(App(EQ_SYMBOL, (t, s)), frozenset(), {}, quantale.unit)
+    start = _Node(App(EQ_SYMBOL, (t, s)), frozenset(), {}, quantale.unit, {})
     node_key = _key_function(problem_vars)
 
     goal_sig = trs.extended.signature
@@ -626,8 +634,8 @@ def solve(trs: GradedTrs, t: Term, s: Term,
         """(position, rule index, rule, redex, degree factor); the position
         grade is accumulated along the traversal.  `compatible` walks the
         node's bindings, so on lazy nodes, which have none, it compares the
-        redex as written; the solved form decides the rest.  It draws no
-        fresh variant (fresh indices decide the key's constraint order), so
+        redex as written; Cla on the solved form decides the rest.  It draws
+        no fresh variant (fresh indices decide the key's constraint order), so
         the depth-cut probe can call it without altering the search."""
         bindings = node.bindings
         stack = [(ROOT, node.goal, 0)]
@@ -651,87 +659,60 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                     factor = factors[grade_id, i] = degrees.setdefault(factor, factor)
                 yield p, i, rule, sub, factor
 
-    # A strategy yields the LP successors of a node below the step bound, each
-    # with its LP position, and finishes a popped node's goal equation (no
-    # rule has the head =?) by Con and one SU.  `after` is the LP position
-    # the node was queued with; LP steps that commute before it are skipped.
+    emitted: dict[object, Solution] = {}
+    expanded = built = merged = skipped = threshold_pruned = clash_pruned = 0
+    frontier_peak = 1
+    depth_cut = False
+    stopped = "exhausted"
+    eager = strategy == "eager-su"
 
-    def lp_steps(node: _Node, after: Position):
-        """(position, rule index, fresh left side, fresh right side, redex,
-        degree) of every LP step the threshold and the skip leave."""
-        nonlocal skipped
+    def successors(node: _Node, after: Position) -> Iterator[tuple[_Node, Position]]:
+        """The LP successors of a node, each with its LP position; eager adds
+        an SU to each.  `after` is the LP position the node was queued with;
+        LP steps that commute before it are skipped."""
+        nonlocal skipped, threshold_pruned, clash_pruned
         for p, i, rule, sub, factor in lp_candidates(node):
             new_degree = step(node.degree, factor)
             if new_degree is None:
+                threshold_pruned += 1
                 continue
             if after and p > after and p[:len(after)] != after:  # commutes before
                 skipped += 1
                 continue
             lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
-            yield p, i, lhs, rhs, sub, new_degree
-
-    def eager_successors(node: _Node, after: Position) -> Iterator[tuple[_Node, Position]]:
-        for p, i, lhs, rhs, sub, new_degree in lp_steps(node, after):
-            new_bindings = dict(node.bindings)
-            if not unifiable(((lhs, sub),), new_bindings):
+            equation = (lhs, sub)
+            solved = dict(node.solved)
+            if not unifiable((equation,), solved):
+                clash_pruned += 1  # Cla fires on this configuration
                 continue
             goal = replace_at(node.goal, p, rhs)
-            nxt = node.advance("LP", p, i, goal, frozenset({(lhs, sub)}),
-                               node.bindings, new_degree)
-            yield nxt.advance("SU", None, None, goal, frozenset(),
-                              new_bindings, new_degree), p
+            nxt = node.advance("LP", p, i, goal, node.constraints | {equation},
+                               node.bindings, new_degree, solved)
+            if eager:
+                nxt = nxt.advance("SU", None, None, goal, frozenset(), solved,
+                                  new_degree, solved)
+            yield nxt, p
 
-    def lazy_successors(node: _Node, after: Position) -> Iterator[tuple[_Node, Position]]:
-        for p, i, lhs, rhs, sub, new_degree in lp_steps(node, after):
-            equation = (lhs, sub)
-            solved = dict(node.solved or {})
-            if not unifiable((equation,), solved):
-                continue  # Cla fires on this configuration
-            yield node.advance("LP", p, i, replace_at(node.goal, p, rhs),
-                               node.constraints | {equation}, node.bindings,
-                               new_degree, solved), p
-
-    emitted: dict[object, Solution] = {}
-    expanded = built = merged = skipped = 0
-    depth_cut = False
-    stopped = "exhausted"
-
-    def emit(final: _Node) -> None:
+    def finish(node: _Node) -> None:
+        """Con on the goal equation (no rule has the head =?), then one SU,
+        emitted when the equation unifies with the node's solved form."""
+        solved = dict(node.solved)
+        if not unifiable((node.goal.args,), solved):
+            return
+        if eager:
+            constraints = frozenset({tuple(resolve(x, node.bindings) for x in node.goal.args)})
+        else:
+            constraints = node.constraints | {node.goal.args}
+            solved = dict(mgu(constraints).items())
         restricted = canonical_subst(
-            Substitution.trusted(resolve_all(final.bindings)).restrict(problem_vars))
-        key = (restricted, final.degree)
+            Substitution.trusted(resolve_all(solved)).restrict(problem_vars))
+        key = (restricted, node.degree)
         if key not in emitted:
-            emitted[key] = Solution(restricted, final.degree,
-                                    _node_trace(final.frames))
-
-    def eager_finish(node: _Node) -> None:
-        """Con then SU on the goal equation, emitted when it unifies."""
-        new_bindings = dict(node.bindings)
-        if not unifiable((node.goal.args,), new_bindings):
-            return
-        constraint = tuple(resolve(side, node.bindings) for side in node.goal.args)
-        final = node.advance("Con", None, None, TRUE_TERM, frozenset({constraint}),
-                             node.bindings, node.degree)
-        final = final.advance("SU", None, None, TRUE_TERM, frozenset(),
-                              new_bindings, node.degree)
-        emit(final)
-
-    def lazy_finish(node: _Node) -> None:
-        """Con on the goal equation, then one SU on every constraint,
-        emitted when the goal equation unifies with them."""
-        if not unifiable((node.goal.args,), dict(node.solved or {})):
-            return
-        constraints = node.constraints | {node.goal.args}
-        final = node.advance("Con", None, None, TRUE_TERM, constraints,
-                             node.bindings, node.degree)
-        final = final.advance("SU", None, None, TRUE_TERM, frozenset(),
-                              dict(mgu(constraints).items()), node.degree)
-        emit(final)
-
-    if strategy == "eager-su":
-        successors, finish = eager_successors, eager_finish
-    else:
-        successors, finish = lazy_successors, lazy_finish
+            final = node.advance("Con", None, None, TRUE_TERM, constraints,
+                                 node.bindings, node.degree)
+            final = final.advance("SU", None, None, TRUE_TERM, frozenset(), solved,
+                                  node.degree)
+            emitted[key] = Solution(restricted, node.degree, _node_trace(final.frames))
 
     # One frontier for both orders: a heap of (priority, arrival, node, depth,
     # LP position).  `built` stamps arrivals, so equal priorities pop FIFO.
@@ -767,6 +748,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             heapq.heappush(frontier, (
                 new_depth if by_depth else quantale.sort_key(nxt.degree),
                 built, nxt, new_depth, last))
+            frontier_peak = max(frontier_peak, len(frontier))
 
     solutions = list(emitted.values())
     by_subst: dict[Substitution, list[Solution]] = {}
@@ -781,7 +763,8 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     if stopped == "exhausted" and depth_cut:
         stopped = "depth-limit"
     complete = stopped == "exhausted"
-    return SolveResult(solutions, complete, stopped, expanded, built, merged, skipped)
+    return SolveResult(solutions, complete, stopped, expanded, built, merged, skipped,
+                       threshold_pruned, clash_pruned, frontier_peak)
 
 
 # ---------------------------------------------------------------------------

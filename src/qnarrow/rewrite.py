@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
-from .quantale import QuantaleValue, cbe_apply, cbe_equal, q_leq, q_tensor
+from .quantale import (QuantaleMismatchError, QuantaleValue, cbe_apply, cbe_equal,
+                       q_leq, q_tensor)
 from .term import (
     App,
     EQ_SYMBOL,
@@ -179,6 +180,13 @@ def check_terms(signature: Signature, terms: Iterable[Term], where: str) -> None
                                f"got {len(sub.args)} in {where}")
 
 
+def check_threshold(trs: GradedTrs, threshold: Optional[QuantaleValue]) -> None:
+    """Raise QuantaleMismatchError unless the threshold is None or a degree
+    of the system's quantale."""
+    if threshold is not None and threshold.quantale is not trs.quantale:
+        raise QuantaleMismatchError(f"threshold {threshold} is not in {trs.quantale.value}")
+
+
 @dataclass(frozen=True)
 class RewriteStep:
     """One single-step rewrite: where, by which rule, and at what degree."""
@@ -274,9 +282,11 @@ def rewrite_search(trs: GradedTrs, start: Term, max_steps: int,
     (a singleton on totally ordered quantales) with one witnessing trace
     each.  Branches whose accumulated degree drops below the threshold are
     pruned, which is sound because the tensor is deflationary.  The start
-    term must fit the system's signature, or TrsError is raised.
+    term must fit the system's signature, or TrsError is raised; a threshold
+    from another quantale raises QuantaleMismatchError before the search.
     """
     check_terms(trs.signature, (start,), "start term")
+    check_threshold(trs, threshold)
     expand = innermost_rewrite_steps if innermost else rewrite_steps
     return _search(trs, start, max_steps, threshold, expand)[0]
 
@@ -286,7 +296,8 @@ def joinable(trs: GradedTrs, t: Term, s: Term, max_steps: int,
     """Best degree at which t and s rewrite to a common term within the
     bound, with a witnessing trace from `t =? s` to `true` over the
     extended system.  The system must be unextended and both terms must
-    fit its signature, or TrsError is raised.
+    fit its signature, or TrsError is raised; a threshold from another
+    quantale raises QuantaleMismatchError before the search.
 
     `=?` has identity sensitivities and only the unit-degree join rule
     rewrites it, so a join in at most max_steps steps is i steps from t
@@ -300,6 +311,7 @@ def joinable(trs: GradedTrs, t: Term, s: Term, max_steps: int,
     if trs.signature.is_extended:
         raise TrsError("joinable expects the unextended system")
     check_terms(trs.signature, (t, s), "joinability problem")
+    check_threshold(trs, threshold)
     if max_steps < 1:
         return None
     extended = trs.extended

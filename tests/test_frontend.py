@@ -280,6 +280,8 @@ class TestCli:
         assert problem["configs_expanded"] >= 1
         assert problem["successors_built"] >= problem["duplicates_merged"] >= 0
         assert problem["commuted_skipped"] >= 0
+        assert problem["threshold_pruned"] >= 0 and problem["clash_pruned"] >= 0
+        assert problem["frontier_peak"] >= 1
 
     def test_solve_trace_flag(self, capsys):
         code = main(["solve", str(DEMOS / "unbalanced.gtrs"), "--trace"])

@@ -327,19 +327,36 @@ class TestSolve:
         for sol in result.solutions:
             assert sol.subst.domain() <= {X}
 
-    def test_trace_shape(self, cubic):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_trace_shape(self, cubic, strategy):
+        from qnarrow import subterm_at
         a, b, d = App("a"), App("b"), App("d")
         f = lambda *ts: App("f", tuple(ts))
-        result = solve(cubic, f(X, X, X), f(a, b, d), max_steps=8)
+        result = solve(cubic, f(X, X, X), f(a, b, d), strategy=strategy, max_steps=8)
         assert len(result.solutions) == 1
         trace = result.solutions[0].trace
         tags = [st.tag for st in trace]
         assert tags[-2:] == ["Con", "SU"]
         assert tags.count("Con") == 1
-        # eager strategy: every LP is immediately discharged
-        for i, tag in enumerate(tags[:-1]):
-            if tag == "LP":
-                assert tags[i + 1] == "SU"
+        if strategy == "eager-su":
+            # every LP is immediately discharged
+            for i, tag in enumerate(tags[:-1]):
+                if tag == "LP":
+                    assert tags[i + 1] == "SU"
+        else:
+            # LP steps only, each adding its equation (the rules are ground,
+            # so a rule variant is the rule) under the identity, then Con
+            # adds the goal equation and one SU discharges them all
+            assert set(tags[:-2]) == {"LP"}
+            goal, constraints = eq(f(X, X, X), f(a, b, d)), frozenset()
+            for frame in trace[:-2]:
+                equation = (cubic.rules[frame.rule_index].lhs,
+                            subterm_at(goal, frame.position))
+                assert frame.constraints == constraints | {equation}
+                assert frame.subst.is_identity
+                goal, constraints = frame.goal, frame.constraints
+            assert trace[-2].constraints == constraints | {goal.args}
+            assert not trace[-1].constraints
         # replaying the trace degrees reproduces the solution degree
         assert trace[-1].degree == result.solutions[0].degree
         assert trace[-1].subst.restrict({X}) == result.solutions[0].subst
@@ -474,6 +491,35 @@ class TestSolve:
             limited = solve(cubic, t, s, strategy=strategy, max_steps=8,
                             max_solutions=1)
             assert limited.stopped == "solution-limit"
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("threshold, counts", [
+        (None, (5, 4, 0, 1, 0, 2, 2)),
+        (L.degree(3), (4, 3, 0, 0, 2, 2, 2)),
+    ])
+    def test_work_counts(self, strategy, threshold, counts):
+        """Counted by hand on g(a, b) =? a; the LP candidates are walked in
+        preorder with children right to left: 2, 1, 1.2, 1.1.
+          - start: a -> b at 2 (degree 2) and at 1.1 (2); g(x, x) -> a at 1
+            clashes (x = a, x = b); two nodes queued;
+          - after 2: the clash again at 1 (3); a -> b at 1.1 (4);
+          - after 1.1: a -> b at 2 (4) commutes before 1.1; g(x, x) -> a at
+            1 (3) reaches a =? a, solved at degree 3 at the bound.
+        Threshold 3 prunes both degree-4 candidates before the skip test, so
+        nothing is skipped and the degree-4 node is never built."""
+        pf = parse("quantale lawvere\nvar x\nfun a/0\nfun b/0\nfun g/2\n"
+                   "rule 1 : g(x, x) -> a\nrule 2 : a -> b\nsolve g(a, b) =? a\n")
+        problem = pf.problems[0]
+        result = solve(pf.trs, problem.left, problem.right, threshold=threshold,
+                       strategy=strategy, max_steps=2)
+        assert (result.configs_expanded, result.successors_built,
+                result.duplicates_merged, result.commuted_skipped,
+                result.threshold_pruned, result.clash_pruned,
+                result.frontier_peak) == counts
+        assert [(str(sol.subst), str(sol.degree)) for sol in result.solutions] == \
+            [("{}", "3")]
+        if threshold is None:  # g(x, x) -> a still fits g(b, b) =? b at the bound
+            assert result.stopped == "depth-limit"
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_zero_solution_limit(self, strategy):
@@ -755,6 +801,32 @@ class TestStateKeys:
                         (strategy, order, "merges states the reference keeps apart")
                     assert to_new.setdefault(reference, new) == new, \
                         (strategy, order, "splits a state the reference merges")
+
+    @pytest.mark.parametrize("strategy, order, steps", GOLDEN_SETTINGS)
+    def test_keyed_nodes_carry_constraints_or_bindings(self, strategy, order, steps,
+                                                       monkeypatch):
+        """Eager keys only nodes that discharged their constraints, lazy only
+        nodes without bindings, so no key has both."""
+        from qnarrow import narrow
+
+        make_key = narrow._key_function
+        keyed = []
+
+        def recording_key_function(problem_vars):
+            node_key = make_key(problem_vars)
+
+            def key(node):
+                keyed.append((bool(node.constraints), bool(node.bindings)))
+                return node_key(node)
+            return key
+
+        monkeypatch.setattr(narrow, "_key_function", recording_key_function)
+        for _, trs, problem in demo_problems():
+            solve(trs, problem.left, problem.right, threshold=problem.threshold,
+                  strategy=strategy, order=order, max_steps=steps)
+        assert len(keyed) > 1
+        pending = (False, True) if strategy == "eager-su" else (True, False)
+        assert set(keyed) <= {(False, False), pending}
 
 
 # -- the engine before commuted LP steps were skipped --------------------------

@@ -23,6 +23,7 @@ from qnarrow import (
     rewrite_steps,
 )
 from qnarrow import CBE_ID, CbeScale, Var, match, parse_file, replace_at, solve, vars_of
+from qnarrow.quantale import QuantaleMismatchError
 from qnarrow.rewrite import RewriteStep, TrsError, check_terms
 from qnarrow.oracle import SystemConfig, random_system, random_term
 from qnarrow.term import (
@@ -525,6 +526,21 @@ class TestRewriteSearchReference:
             steps += self.same_search_steps(trs, subjects)
             joined += self.same_joins(trs, subjects)
         assert steps > 0 and joined > 0
+
+
+@pytest.mark.parametrize("search", [
+    lambda trs, threshold: solve(trs, Z, Z, threshold=threshold, max_steps=0),
+    lambda trs, threshold: solve(trs, plus(X, S(Z)), plus(plus(X, X), X),
+                                 threshold=threshold, max_steps=2),
+    lambda trs, threshold: rewrite_search(trs, Z, 2, threshold=threshold),
+    lambda trs, threshold: joinable(trs, Z, Z, 2, threshold=threshold),
+], ids=["solve-at-start", "solve", "rewrite_search", "joinable"])
+def test_threshold_from_another_quantale(search):
+    """A threshold outside the system's quantale is rejected before the
+    search, whether or not a step would have met it."""
+    trs = parse_file(str(DEMOS / "peano.gtrs")).trs
+    with pytest.raises(QuantaleMismatchError):
+        search(trs, Quantale.BOOL.unit)
 
 
 class TestJoinable:
