@@ -100,6 +100,7 @@ def cmd_solve(args) -> int:
                 "threshold_pruned": result.threshold_pruned,
                 "clash_pruned": result.clash_pruned,
                 "frontier_peak": result.frontier_peak,
+                "states_keyed": result.states_keyed,
             })
             continue
         header = f"problem {problem.left} =? {problem.right}"

@@ -308,6 +308,11 @@ class Solution:
 
 @dataclass
 class SolveResult:
+    """The solutions of one `solve` call, why it stopped, and exact counts
+    of its work.  `states_keyed` counts the state keys computed, the
+    start's included: a built node is keyed only once a second node with
+    its fingerprint arrives, so the count is at most `successors_built` + 1."""
+
     solutions: list[Solution]
     complete: bool
     stopped: str  # "exhausted" | "depth-limit" | "solution-limit" | "config-limit"
@@ -318,6 +323,7 @@ class SolveResult:
     threshold_pruned: int = 0  # LP candidates whose degree fell below the threshold
     clash_pruned: int = 0  # LP steps dropped by Cla
     frontier_peak: int = 0  # the most queued nodes at once
+    states_keyed: int = 0  # state keys computed, the start's included
 
 
 STRATEGIES = ("eager-su", "lazy")
@@ -346,7 +352,9 @@ ORDERS = ("bfs", "best-first")
 #     memoized by (degree, factor);
 #   - the state key (`_key_function`) sorts the problem variables once,
 #     memoizes the sort key of each constraint equation, and writes the
-#     degree as an int id.
+#     degree as an int id;
+#   - the fingerprint (`_fingerprint_function`) interns goal shapes as small
+#     ints, memoized by value: a symbol and the shape ids of its arguments.
 # LP visits only rules whose left-side head matches the redex, from the
 # system's own `GradedTrs.rules_by_head`, built once per system.
 # Two states get equal keys exactly when their goals, resolved constraints,
@@ -355,6 +363,22 @@ ORDERS = ("bfs", "best-first")
 # which is by `str` of each (unresolved) equation, i.e. the dataclass reprs
 # of its terms; those reprs are therefore part of the state identity, and
 # changing them changes which states the search merges.
+#
+# Few built nodes ever meet another of their key, so a node is keyed only
+# once a second node with its fingerprint arrives.  The fingerprint is the
+# goal's shape with every variable collapsed, the degree and the number of
+# constraints; equal keys imply equal fingerprints, since a key writes the
+# goal as is, the degree, and one entry per constraint.  The first arrival
+# of a fingerprint is queued unkeyed and remembered with its depth; the
+# second keys it into `seen` at that depth before keying itself, and every
+# later arrival of that fingerprint is keyed (the start's from the outset).
+# A node of a key whose first arrival is remembered shares its fingerprint,
+# so `seen` holds that key at that depth by the time the node reads it:
+# `seen` answers every lookup as if every node were keyed on arrival, and
+# merges, configs, solutions and `stopped` are unchanged.  A fingerprint
+# shared by nodes of different keys costs only keys.  A remembered node is
+# keyed late, so nodes are never mutated once built: `successors` and
+# `finish` copy `solved` before extending it.
 #
 # Independent LP steps are generated in one order only.  Two LP steps at
 # disjoint positions commute: the goal is never instantiated, a step at p
@@ -452,7 +476,9 @@ def _key_function(problem_vars: frozenset[Var]):
     may still fire, so it must not be resolved), the constraints, and the
     resolved bindings of every variable in scope, with fresh variables
     renamed by first occurrence, then the degree.  Serialized in one pass
-    without building terms; a problem variable stands for itself."""
+    without building terms; a problem variable stands for itself.  `solve`
+    calls it only on nodes whose fingerprint another node shares (see
+    `_fingerprint_function`)."""
     markers = [(x, ("=pv", x.name))
                for x in sorted(problem_vars, key=lambda v: (v.name, v.index))]
     equation_strs: dict = {}
@@ -533,6 +559,35 @@ def _key_function(problem_vars: frozenset[Var]):
     return node_key
 
 
+def _fingerprint_function():
+    """The fingerprint function of one solve call: a cheap hashable summary
+    of a node that equal state keys imply, namely the shape of the goal with
+    every variable collapsed, the degree, and the number of constraints.
+    Shapes are interned as small ints by (symbol, shapes of the arguments),
+    so a fingerprint is a flat tuple.  The walk recurses once per level, as
+    the state key's does.  Subterms are not memoized by value: the lookups
+    cost more than the walks of goals this small, and comparing deep terms
+    by value recurses deeper than the walk."""
+    shape_ids: dict[tuple, int] = {}
+
+    def shape(t: Term) -> int:
+        if isinstance(t, Var):
+            return 0
+        parts = [t.symbol]
+        for a in t.args:
+            parts.append(shape(a))
+        parts = tuple(parts)
+        s = shape_ids.get(parts)
+        if s is None:
+            s = shape_ids[parts] = len(shape_ids) + 1
+        return s
+
+    def fingerprint(node: _Node) -> tuple:
+        return shape(node.goal), node.degree, len(node.constraints)
+
+    return fingerprint
+
+
 _UNSEEN = object()
 
 
@@ -580,6 +635,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
         max_var_index([t, s] + [x for r in trs.rules for x in (r.lhs, r.rhs)]) + 1)
     start = _Node(App(EQ_SYMBOL, (t, s)), frozenset(), {}, quantale.unit, {})
     node_key = _key_function(problem_vars)
+    fingerprint = _fingerprint_function()
 
     goal_sig = trs.extended.signature
     rules_by_head = trs.rules_by_head
@@ -661,7 +717,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
 
     emitted: dict[object, Solution] = {}
     expanded = built = merged = skipped = threshold_pruned = clash_pruned = 0
-    frontier_peak = 1
+    frontier_peak = keyed = 1
     depth_cut = False
     stopped = "exhausted"
     eager = strategy == "eager-su"
@@ -718,6 +774,9 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     # LP position).  `built` stamps arrivals, so equal priorities pop FIFO.
     by_depth = order == "bfs"
     seen: dict[object, int] = {node_key(start): 0}  # key -> least depth
+    # fingerprint -> (node, depth) of its unkeyed first arrival, or None once
+    # its nodes are keyed
+    firsts: dict[tuple, Optional[tuple[_Node, int]]] = {fingerprint(start): None}
     frontier = [(0 if by_depth else quantale.sort_key(start.degree), 0, start, 0, ROOT)]
     while frontier:
         if max_configs is not None and expanded >= max_configs:
@@ -731,20 +790,31 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             break
         if depth >= max_steps:
             # at the bound LP successors would overrun it: build none, but
-            # record whether the bound cut a branch where LP could fire (an
-            # over-approximation: a compatible redex/rule pair may yet fail
-            # unification)
-            if not depth_cut and next(lp_candidates(node), None) is not None:
+            # record whether the bound cut a branch where LP could fire within
+            # the threshold (an over-approximation: a compatible redex/rule
+            # pair may yet fail unification)
+            if not depth_cut and any(step(node.degree, c[4]) is not None
+                                     for c in lp_candidates(node)):
                 depth_cut = True
             continue
         new_depth = depth + 1
         for nxt, last in successors(node, after):
             built += 1
-            key = node_key(nxt)
-            if seen.get(key, max_steps + 1) <= new_depth:
-                merged += 1
-                continue
-            seen[key] = new_depth
+            fp = fingerprint(nxt)
+            first = firsts.get(fp, _UNSEEN)
+            if first is _UNSEEN:  # alone with its fingerprint: queued unkeyed
+                firsts[fp] = (nxt, new_depth)
+            else:
+                if first is not None:  # the second arrival keys the first
+                    firsts[fp] = None
+                    seen[node_key(first[0])] = first[1]
+                    keyed += 1
+                key = node_key(nxt)
+                keyed += 1
+                if seen.get(key, max_steps + 1) <= new_depth:
+                    merged += 1
+                    continue
+                seen[key] = new_depth
             heapq.heappush(frontier, (
                 new_depth if by_depth else quantale.sort_key(nxt.degree),
                 built, nxt, new_depth, last))
@@ -764,7 +834,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
         stopped = "depth-limit"
     complete = stopped == "exhausted"
     return SolveResult(solutions, complete, stopped, expanded, built, merged, skipped,
-                       threshold_pruned, clash_pruned, frontier_peak)
+                       threshold_pruned, clash_pruned, frontier_peak, keyed)
 
 
 # ---------------------------------------------------------------------------

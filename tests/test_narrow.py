@@ -8,6 +8,7 @@ import json
 import random
 import sys
 from collections import deque
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -494,8 +495,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("threshold, counts", [
-        (None, (5, 4, 0, 1, 0, 2, 2)),
-        (L.degree(3), (4, 3, 0, 0, 2, 2, 2)),
+        (None, (5, 4, 0, 1, 0, 2, 2, 1)),
+        (L.degree(3), (4, 3, 0, 0, 2, 2, 2, 1)),
     ])
     def test_work_counts(self, strategy, threshold, counts):
         """Counted by hand on g(a, b) =? a; the LP candidates are walked in
@@ -506,7 +507,10 @@ class TestSolve:
           - after 1.1: a -> b at 2 (4) commutes before 1.1; g(x, x) -> a at
             1 (3) reaches a =? a, solved at degree 3 at the bound.
         Threshold 3 prunes both degree-4 candidates before the skip test, so
-        nothing is skipped and the degree-4 node is never built."""
+        nothing is skipped and the degree-4 node is never built.  No two nodes
+        share a fingerprint, so only the start is keyed.  At the bound
+        the threshold-3 search has only a -> b left (degree 5), which the
+        threshold would prune, so the bound cut nothing."""
         pf = parse("quantale lawvere\nvar x\nfun a/0\nfun b/0\nfun g/2\n"
                    "rule 1 : g(x, x) -> a\nrule 2 : a -> b\nsolve g(a, b) =? a\n")
         problem = pf.problems[0]
@@ -515,11 +519,13 @@ class TestSolve:
         assert (result.configs_expanded, result.successors_built,
                 result.duplicates_merged, result.commuted_skipped,
                 result.threshold_pruned, result.clash_pruned,
-                result.frontier_peak) == counts
+                result.frontier_peak, result.states_keyed) == counts
         assert [(str(sol.subst), str(sol.degree)) for sol in result.solutions] == \
             [("{}", "3")]
         if threshold is None:  # g(x, x) -> a still fits g(b, b) =? b at the bound
-            assert result.stopped == "depth-limit"
+            assert result.stopped == "depth-limit" and not result.complete
+        else:
+            assert result.stopped == "exhausted" and result.complete
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_zero_solution_limit(self, strategy):
@@ -553,6 +559,25 @@ class TestSolve:
             assert [sol.subst for sol in result.solutions] == [Substitution({X: deep})]
             assert str(result.solutions[0].subst) == (
                 "{x -> " + "S(" * 300 + "Z" + ")" * 300 + "}")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_deep_successor_goals(self, strategy):
+        """Both successors of S^300(a) =? x rewrite a, so each goal is built
+        afresh 301 deep, and they share a state (the system has a -> b twice):
+        the fingerprint walks both goals, and the second arrival keys both
+        nodes, as the search keyed every node before."""
+        sig = Signature(L, {"a": (), "b": (), "S": (CBE_ID,)})
+        a_to_b = RewriteRule(L.degree(1), App("a"), App("b"))
+        trs = GradedTrs(sig, (a_to_b, a_to_b))
+        t, u = App("a"), App("b")
+        for _ in range(300):
+            t, u = App("S", (t,)), App("S", (u,))
+        result = solve(trs, t, X, strategy=strategy, max_steps=1)
+        assert (result.configs_expanded, result.successors_built,
+                result.duplicates_merged, result.states_keyed) == (2, 2, 1, 3)
+        assert result.stopped == "exhausted"
+        assert [(sol.subst, str(sol.degree)) for sol in result.solutions] == \
+            [(Substitution({X: t}), "0"), (Substitution({X: u}), "1")]
 
 
 class TestDerivationToCalculus:
@@ -768,65 +793,118 @@ def reference_node_key(node, problem_vars):
     return tuple(out)
 
 
+@contextmanager
+def recorded(scope, name, record):
+    """Within the block, every function that the factory `name`
+    (`_key_function` or `_fingerprint_function`) of the engine globals
+    `scope` makes also calls record(node, value) on each node it maps."""
+    make = scope[name]
+
+    def factory(*args):
+        inner = make(*args)
+
+        def wrapped(node):
+            value = inner(node)
+            record(node, value)
+            return value
+        return wrapped
+
+    scope[name] = factory
+    try:
+        yield
+    finally:
+        scope[name] = make
+
+
+def built_nodes(trs, t, s, **kwargs) -> list:
+    """(node, fingerprint) of the start and of every node one `solve` call
+    builds: it fingerprints each of them, though it keys only some."""
+    built = []
+    with recorded(solve.__globals__, "_fingerprint_function",
+                  lambda node, fingerprint: built.append((node, fingerprint))):
+        solve(trs, t, s, **kwargs)
+    return built
+
+
+def random_problem(seed, quantale):
+    rng = random.Random(seed)
+    cfg = SystemConfig(quantale=quantale, n_constants=2, n_unary=1, n_binary=1,
+                       max_rules=3, nontrivial_cbes=True)
+    trs = random_system(rng, cfg)
+    return (trs, *random_linear_problem(rng, trs))
+
+
+def check_keys_imply_fingerprints(trs, t, s, **kwargs) -> int:
+    """Keys every node one `solve` call builds and checks that nodes with
+    equal keys have equal fingerprints; returns how many nodes repeat the
+    key of an earlier one."""
+    node_key = _key_function(frozenset(vars_of(t) | vars_of(s)))
+    fingerprints = {}
+    built = built_nodes(trs, t, s, **kwargs)
+    for node, fingerprint in built:
+        assert fingerprints.setdefault(node_key(node), fingerprint) == fingerprint, kwargs
+    return len(built) - len(fingerprints)
+
+
 class TestStateKeys:
     @pytest.mark.parametrize("stem", sorted(path.stem for path in DEMOS.glob("*.gtrs")))
-    def test_partition_matches_reference(self, stem, monkeypatch):
-        """Within each solve, two generated states get equal keys exactly
-        when they get equal reference keys."""
-        from qnarrow import narrow
-
-        make_key = narrow._key_function
-        pairs = []
-
-        def recording_key_function(problem_vars):
-            node_key = make_key(problem_vars)
-
-            def key(node):
-                new = node_key(node)
-                pairs.append((new, reference_node_key(node, problem_vars)))
-                return new
-            return key
-
-        monkeypatch.setattr(narrow, "_key_function", recording_key_function)
+    def test_partition_matches_reference(self, stem):
+        """Within each solve, two built states get equal keys exactly when
+        they get equal reference keys."""
         pf = parse_file(str(DEMOS / f"{stem}.gtrs"))
         for problem in pf.problems:
+            problem_vars = frozenset(vars_of(problem.left) | vars_of(problem.right))
             for strategy, order, steps in GOLDEN_SETTINGS:
-                pairs.clear()
-                solve(pf.trs, problem.left, problem.right, threshold=problem.threshold,
-                      strategy=strategy, order=order, max_steps=steps)
-                assert len(pairs) > 1
+                built = built_nodes(pf.trs, problem.left, problem.right,
+                                    threshold=problem.threshold, strategy=strategy,
+                                    order=order, max_steps=steps)
+                assert len(built) > 1
+                node_key = _key_function(problem_vars)
                 to_reference, to_new = {}, {}
-                for new, reference in pairs:
+                for node, _ in built:
+                    new, reference = node_key(node), reference_node_key(node, problem_vars)
                     assert to_reference.setdefault(new, reference) == reference, \
                         (strategy, order, "merges states the reference keeps apart")
                     assert to_new.setdefault(reference, new) == new, \
                         (strategy, order, "splits a state the reference merges")
 
     @pytest.mark.parametrize("strategy, order, steps", GOLDEN_SETTINGS)
-    def test_keyed_nodes_carry_constraints_or_bindings(self, strategy, order, steps,
-                                                       monkeypatch):
-        """Eager keys only nodes that discharged their constraints, lazy only
-        nodes without bindings, so no key has both."""
-        from qnarrow import narrow
-
-        make_key = narrow._key_function
-        keyed = []
-
-        def recording_key_function(problem_vars):
-            node_key = make_key(problem_vars)
-
-            def key(node):
-                keyed.append((bool(node.constraints), bool(node.bindings)))
-                return node_key(node)
-            return key
-
-        monkeypatch.setattr(narrow, "_key_function", recording_key_function)
+    def test_keyed_nodes_carry_constraints_or_bindings(self, strategy, order, steps):
+        """Eager builds only nodes that discharged their constraints, lazy
+        only nodes without bindings, so no key has both."""
+        built = []
         for _, trs, problem in demo_problems():
-            solve(trs, problem.left, problem.right, threshold=problem.threshold,
-                  strategy=strategy, order=order, max_steps=steps)
-        assert len(keyed) > 1
+            built += built_nodes(trs, problem.left, problem.right,
+                                 threshold=problem.threshold, strategy=strategy,
+                                 order=order, max_steps=steps)
+        assert len(built) > 1
         pending = (False, True) if strategy == "eager-su" else (True, False)
-        assert set(keyed) <= {(False, False), pending}
+        assert {(bool(node.constraints), bool(node.bindings)) for node, _ in built} <= \
+            {(False, False), pending}
+
+    @pytest.mark.parametrize("strategy, order, steps", GOLDEN_SETTINGS)
+    def test_equal_keys_have_equal_fingerprints(self, strategy, order, steps):
+        """Two built nodes with equal keys have equal fingerprints, so `solve`
+        keys every node that a merge needs.  Eager repeats some key on the
+        demos; lazy nodes carry their equations with fresh variables and
+        rarely share a key."""
+        repeated = sum(
+            check_keys_imply_fingerprints(trs, problem.left, problem.right,
+                                          threshold=problem.threshold, strategy=strategy,
+                                          order=order, max_steps=steps)
+            for _, trs, problem in demo_problems())
+        if strategy == "eager-su":
+            assert repeated > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), quantale=st.sampled_from(list(Quantale)),
+           steps=st.integers(1, 3))
+    def test_random_systems_keys_imply_fingerprints(self, seed, quantale, steps):
+        trs, t, s = random_problem(seed, quantale)
+        for strategy in STRATEGIES:
+            for order in ORDERS:
+                check_keys_imply_fingerprints(trs, t, s, strategy=strategy, order=order,
+                                              max_steps=steps)
 
 
 # -- the engine before commuted LP steps were skipped --------------------------
@@ -1198,11 +1276,7 @@ class TestReferenceEngine:
     @given(seed=st.integers(0, 2**32 - 1), quantale=st.sampled_from(list(Quantale)),
            steps=st.integers(1, 3))
     def test_random_systems(self, seed, quantale, steps):
-        rng = random.Random(seed)
-        cfg = SystemConfig(quantale=quantale, n_constants=2, n_unary=1, n_binary=1,
-                           max_rules=3, nontrivial_cbes=True)
-        trs = random_system(rng, cfg)
-        t, s = random_linear_problem(rng, trs)
+        trs, t, s = random_problem(seed, quantale)
         for strategy in STRATEGIES:
             for order in ORDERS:
                 kwargs = dict(strategy=strategy, order=order, max_steps=steps)
@@ -1240,11 +1314,7 @@ class TestReferenceEngine:
         """Skipping commuted steps loses no state: on eager (whose nodes carry
         no constraints, so their keys do not depend on fresh indices) `solve`
         builds a node of every state `reference_solve` builds, and no other."""
-        rng = random.Random(seed)
-        cfg = SystemConfig(quantale=quantale, n_constants=2, n_unary=1, n_binary=1,
-                           max_rules=3, nontrivial_cbes=True)
-        trs = random_system(rng, cfg)
-        t, s = random_linear_problem(rng, trs)
+        trs, t, s = random_problem(seed, quantale)
         for order in ORDERS:
             kwargs = dict(strategy="eager-su", order=order, max_steps=steps)
             assert reached_states(solve, trs, t, s, **kwargs) == \
@@ -1252,24 +1322,18 @@ class TestReferenceEngine:
 
 
 def reached_states(engine, trs, t, s, **kwargs) -> set:
-    """The reference keys of every node the engine keyed during one call."""
+    """The reference keys of every node the engine built during one call,
+    the start's included: `solve` fingerprints each node it builds, and
+    `reference_solve` keys each."""
+    problem_vars = vars_of(t) | vars_of(s)
     reached = set()
-    scope = engine.__globals__
-    make_key = scope["_key_function"]
 
-    def recording_key_function(problem_vars):
-        node_key = make_key(problem_vars)
+    def record(node, _):
+        reached.add(reference_node_key(node, problem_vars))
 
-        def key(node):
-            reached.add(reference_node_key(node, problem_vars))
-            return node_key(node)
-        return key
-
-    scope["_key_function"] = recording_key_function
-    try:
+    factory = "_fingerprint_function" if engine is solve else "_key_function"
+    with recorded(engine.__globals__, factory, record):
         engine(trs, t, s, **kwargs)
-    finally:
-        scope["_key_function"] = make_key
     return reached
 
 
