@@ -1,7 +1,8 @@
 """Command-line driver for rule files.
 
 Exit codes: 0 solutions found / checks pass, 1 nothing found or a check
-refuted, 2 usage, parse or input errors (terms nested too deep included).
+refuted, 2 usage, parse or input errors (terms nested too deep and degrees
+too large to represent included).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .frontend import (
     GtrsError,
@@ -21,7 +23,7 @@ from .frontend import (
     render_solution,
     render_trace,
 )
-from .narrow import ORDERS, STRATEGIES, NarrowError, derivations, solve
+from .narrow import ORDERS, STRATEGIES, NarrowError, SolveResult, derivations, solve
 from .oracle import (
     CONFIRMED,
     INCONCLUSIVE,
@@ -30,6 +32,7 @@ from .oracle import (
     enumerate_best_unifiers,
     verify_solution,
 )
+from .quantale import QuantaleError
 from .rewrite import TrsError, check_trs, innermost_rewrite_steps, rewrite_search, rewrite_steps
 from .term import App, is_ground, position_to_str, vars_of
 
@@ -91,16 +94,8 @@ def cmd_solve(args) -> int:
                 "right": str(problem.right),
                 "threshold": None if problem.threshold is None else str(problem.threshold),
                 "solutions": [encode(sol) for sol in result.solutions],
-                "complete": result.complete,
-                "stopped": result.stopped,
-                "configs_expanded": result.configs_expanded,
-                "successors_built": result.successors_built,
-                "duplicates_merged": result.duplicates_merged,
-                "commuted_skipped": result.commuted_skipped,
-                "threshold_pruned": result.threshold_pruned,
-                "clash_pruned": result.clash_pruned,
-                "frontier_peak": result.frontier_peak,
-                "states_keyed": result.states_keyed,
+                **{f.name: getattr(result, f.name) for f in fields(SolveResult)
+                   if f.name != "solutions"},
             })
             continue
         header = f"problem {problem.left} =? {problem.right}"
@@ -276,7 +271,7 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: terms are nested too deeply", file=sys.stderr)
         return EXIT_USAGE
-    except (GtrsError, TrsError, NarrowError, OracleError, OSError) as exc:
+    except (GtrsError, TrsError, NarrowError, OracleError, QuantaleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

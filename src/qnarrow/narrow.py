@@ -27,6 +27,7 @@ from typing import Iterator, Optional
 
 from .quantale import (
     CBE_ID,
+    CarrierError,
     QuantaleValue,
     cbe_apply,
     cbe_compose,
@@ -318,7 +319,7 @@ class SolveResult:
     stopped: str  # "exhausted" | "depth-limit" | "solution-limit" | "config-limit"
     configs_expanded: int = 0
     successors_built: int = 0  # nodes the successor function returned
-    duplicates_merged: int = 0  # of those, dropped as already seen
+    duplicates_merged: int = 0  # of those, dropped as already seen or superseded
     commuted_skipped: int = 0  # LP steps left to their commuted order
     threshold_pruned: int = 0  # LP candidates whose degree fell below the threshold
     clash_pruned: int = 0  # LP steps dropped by Cla
@@ -350,11 +351,9 @@ ORDERS = ("bfs", "best-first")
 #     (grade id, rule index);
 #   - the degree step (tensor with a factor, then the threshold test) is
 #     memoized by (degree, factor);
-#   - the state key (`_key_function`) sorts the problem variables once,
-#     memoizes the sort key of each constraint equation, and writes the
-#     degree as an int id;
-#   - the fingerprint (`_fingerprint_function`) interns goal shapes as small
-#     ints, memoized by value: a symbol and the shape ids of its arguments.
+#   - the state identity (`_identity_functions`) interns goal shapes as
+#     small ints by a symbol and the shape ids of its arguments, sorts the
+#     problem variables once, and memoizes the sort key of each constraint.
 # LP visits only rules whose left-side head matches the redex, from the
 # system's own `GradedTrs.rules_by_head`, built once per system.
 # Two states get equal keys exactly when their goals, resolved constraints,
@@ -365,20 +364,17 @@ ORDERS = ("bfs", "best-first")
 # changing them changes which states the search merges.
 #
 # Few built nodes ever meet another of their key, so a node is keyed only
-# once a second node with its fingerprint arrives.  The fingerprint is the
-# goal's shape with every variable collapsed, the degree and the number of
-# constraints; equal keys imply equal fingerprints, since a key writes the
-# goal as is, the degree, and one entry per constraint.  The first arrival
-# of a fingerprint is queued unkeyed and remembered with its depth; the
-# second keys it into `seen` at that depth before keying itself, and every
-# later arrival of that fingerprint is keyed (the start's from the outset).
-# A node of a key whose first arrival is remembered shares its fingerprint,
-# so `seen` holds that key at that depth by the time the node reads it:
-# `seen` answers every lookup as if every node were keyed on arrival, and
-# merges, configs, solutions and `stopped` are unchanged.  A fingerprint
-# shared by nodes of different keys costs only keys.  A remembered node is
-# keyed late, so nodes are never mutated once built: `successors` and
-# `finish` copy `solved` before extending it.
+# once a second node with its fingerprint arrives.  A key begins with the
+# fingerprint, so equal keys have equal fingerprints.  The first arrival of
+# a fingerprint is queued unkeyed and remembered; the second keys it into
+# `seen` at its own depth before keying itself, and every later arrival of
+# that fingerprint is keyed (the start's from the outset).  So `seen`
+# answers every lookup as if every node were keyed on arrival.  It maps a
+# key to the queue entry of its least-depth arrival.  Under best-first a
+# shallower arrival may come after a deeper one was queued: it supersedes
+# that entry, whose node is cleared and skipped at pop (counted as merged).
+# bfs pops by depth, so nothing is ever superseded there.  Nodes are never
+# mutated once built: `successors` and `finish` copy `solved` first.
 #
 # Independent LP steps are generated in one order only.  Two LP steps at
 # disjoint positions commute: the goal is never instantiated, a step at p
@@ -470,105 +466,20 @@ def _node_trace(node_frames) -> tuple[BqTraceStep, ...]:
     return tuple(out)
 
 
-def _key_function(problem_vars: frozenset[Var]):
-    """The state-key function of one solve call.  A key is a hashable
-    identity of a node: the goal as written (its skeleton decides where LP
-    may still fire, so it must not be resolved), the constraints, and the
-    resolved bindings of every variable in scope, with fresh variables
-    renamed by first occurrence, then the degree.  Serialized in one pass
-    without building terms; a problem variable stands for itself.  `solve`
-    calls it only on nodes whose fingerprint another node shares (see
-    `_fingerprint_function`)."""
+def _identity_functions(problem_vars: frozenset[Var]):
+    """The fingerprint and state-key functions of one solve call.  A
+    fingerprint is the goal's shape with every variable collapsed (interned
+    as a small int by symbol and argument shapes, and walked in full: a memo
+    by term value costs more on goals this small and recurses deeper), the
+    degree and the number of constraints.  A key begins with the fingerprint
+    and adds what it leaves out: the goal's variables in preorder (the goal
+    is not resolved, as its skeleton decides where LP may fire), the resolved
+    constraints, and the resolved bindings in scope, with fresh variables
+    renamed by first occurrence; a problem variable stands for itself."""
     markers = [(x, ("=pv", x.name))
                for x in sorted(problem_vars, key=lambda v: (v.name, v.index))]
-    equation_strs: dict = {}
-    degree_ids: dict = {}
-
-    def equation_str(equation) -> str:
-        text = equation_strs.get(equation)
-        if text is None:
-            text = equation_strs[equation] = str(equation)
-        return text
-
-    def node_key(node: _Node) -> tuple:
-        bindings = node.bindings
-        out: list = []
-        append = out.append
-        slots: dict[Var, int] = {}
-        order: list[Var] = []
-
-        def emit_var(v: Var) -> None:
-            if v.index == 0:
-                append(v)
-                return
-            s = slots.get(v)
-            if s is None:
-                s = slots[v] = len(order)
-                order.append(v)
-            append(s)
-
-        def emit_raw(t: Term) -> None:
-            if isinstance(t, Var):
-                emit_var(t)
-                return
-            append(t.symbol)
-            append(len(t.args))
-            for a in t.args:
-                emit_raw(a)
-
-        def emit_resolved(t: Term) -> None:
-            while isinstance(t, Var):
-                nxt = bindings.get(t)
-                if nxt is None:
-                    emit_var(t)
-                    return
-                t = nxt
-            append(t.symbol)
-            append(len(t.args))
-            for a in t.args:
-                emit_resolved(a)
-
-        emit_raw(node.goal)
-        constraints = node.constraints
-        if constraints:
-            append("|C")
-            if len(constraints) > 1:
-                constraints = sorted(constraints, key=equation_str)
-            for a, b in constraints:
-                append("|")
-                emit_resolved(a)
-                emit_resolved(b)
-        append("|B")
-        for x, marker in markers:
-            if x in bindings:
-                append(marker)
-                emit_resolved(x)
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            if v in bindings:
-                append(("=", slots[v]))
-                emit_resolved(v)
-        degree_id = degree_ids.get(node.degree)
-        if degree_id is None:
-            degree_id = degree_ids[node.degree] = len(degree_ids)
-        append(degree_id)
-        return tuple(out)
-
-    return node_key
-
-
-def _fingerprint_function():
-    """The fingerprint function of one solve call: a cheap hashable summary
-    of a node that equal state keys imply, namely the shape of the goal with
-    every variable collapsed, the degree, and the number of constraints.
-    Shapes are interned as small ints by (symbol, shapes of the arguments),
-    so a fingerprint is a flat tuple.  The walk recurses once per level, as
-    the state key's does.  Subterms are not memoized by value: the lookups
-    cost more than the walks of goals this small, and comparing deep terms
-    by value recurses deeper than the walk."""
     shape_ids: dict[tuple, int] = {}
+    equation_strs: dict = {}
 
     def shape(t: Term) -> int:
         if isinstance(t, Var):
@@ -585,7 +496,69 @@ def _fingerprint_function():
     def fingerprint(node: _Node) -> tuple:
         return shape(node.goal), node.degree, len(node.constraints)
 
-    return fingerprint
+    def equation_str(equation) -> str:
+        text = equation_strs.get(equation)
+        if text is None:
+            text = equation_strs[equation] = str(equation)
+        return text
+
+    def node_key(node: _Node, fp: tuple) -> tuple:
+        bindings = node.bindings
+        out = list(fp)
+        append = out.append
+        slots: dict[Var, int] = {}
+        order: list[Var] = []
+
+        def emit_var(v: Var) -> None:
+            if v.index == 0:
+                append(v)
+                return
+            s = slots.get(v)
+            if s is None:
+                s = slots[v] = len(order)
+                order.append(v)
+            append(s)
+
+        def emit_goal_vars(t: Term) -> None:
+            for a in t.args:
+                if isinstance(a, Var):
+                    emit_var(a)
+                else:
+                    emit_goal_vars(a)
+
+        def emit_resolved(t: Term) -> None:
+            while isinstance(t, Var):
+                nxt = bindings.get(t)
+                if nxt is None:
+                    emit_var(t)
+                    return
+                t = nxt
+            append(t.symbol)
+            append(len(t.args))
+            for a in t.args:
+                emit_resolved(a)
+
+        emit_goal_vars(node.goal)
+        constraints = node.constraints
+        if len(constraints) > 1:
+            constraints = sorted(constraints, key=equation_str)
+        for a, b in constraints:
+            emit_resolved(a)
+            emit_resolved(b)
+        for x, marker in markers:
+            if x in bindings:
+                append(marker)
+                emit_resolved(x)
+        i = 0
+        while i < len(order):
+            v = order[i]
+            i += 1
+            if v in bindings:
+                append(("=", slots[v]))
+                emit_resolved(v)
+        return tuple(out)
+
+    return fingerprint, node_key
 
 
 _UNSEEN = object()
@@ -634,8 +607,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     counter = FreshCounter(
         max_var_index([t, s] + [x for r in trs.rules for x in (r.lhs, r.rhs)]) + 1)
     start = _Node(App(EQ_SYMBOL, (t, s)), frozenset(), {}, quantale.unit, {})
-    node_key = _key_function(problem_vars)
-    fingerprint = _fingerprint_function()
+    fingerprint, node_key = _identity_functions(problem_vars)
 
     goal_sig = trs.extended.signature
     rules_by_head = trs.rules_by_head
@@ -770,19 +742,25 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                                   node.degree)
             emitted[key] = Solution(restricted, node.degree, _node_trace(final.frames))
 
-    # One frontier for both orders: a heap of (priority, arrival, node, depth,
-    # LP position).  `built` stamps arrivals, so equal priorities pop FIFO.
+    # One frontier for both orders: a heap of [priority, arrival, node, depth,
+    # LP position] entries.  `built` stamps arrivals, so equal priorities pop
+    # FIFO; a superseded entry's node is None.
     by_depth = order == "bfs"
-    seen: dict[object, int] = {node_key(start): 0}  # key -> least depth
-    # fingerprint -> (node, depth) of its unkeyed first arrival, or None once
-    # its nodes are keyed
-    firsts: dict[tuple, Optional[tuple[_Node, int]]] = {fingerprint(start): None}
-    frontier = [(0 if by_depth else quantale.sort_key(start.degree), 0, start, 0, ROOT)]
+    start_entry = [0 if by_depth else quantale.sort_key(start.degree), 0, start, 0, ROOT]
+    start_fp = fingerprint(start)
+    seen: dict[object, list] = {node_key(start, start_fp): start_entry}
+    # fingerprint -> entry of its unkeyed first arrival, or None once its
+    # nodes are keyed
+    firsts: dict[tuple, Optional[list]] = {start_fp: None}
+    frontier = [start_entry]
     while frontier:
+        _, _, node, depth, after = heapq.heappop(frontier)
+        if node is None:  # superseded by a shallower arrival of its state
+            merged += 1
+            continue
         if max_configs is not None and expanded >= max_configs:
             stopped = "config-limit"
             break
-        _, _, node, depth, after = heapq.heappop(frontier)
         expanded += 1
         finish(node)
         if max_solutions is not None and len(emitted) >= max_solutions:
@@ -792,32 +770,39 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             # at the bound LP successors would overrun it: build none, but
             # record whether the bound cut a branch where LP could fire within
             # the threshold (an over-approximation: a compatible redex/rule
-            # pair may yet fail unification)
-            if not depth_cut and any(step(node.degree, c[4]) is not None
-                                     for c in lp_candidates(node)):
-                depth_cut = True
+            # pair may yet fail unification, and a step whose degree is past
+            # the degree bound counts as firing)
+            if not depth_cut:
+                try:
+                    depth_cut = any(step(node.degree, c[4]) is not None
+                                    for c in lp_candidates(node))
+                except CarrierError:
+                    depth_cut = True
             continue
         new_depth = depth + 1
         for nxt, last in successors(node, after):
             built += 1
+            entry = [new_depth if by_depth else quantale.sort_key(nxt.degree),
+                     built, nxt, new_depth, last]
             fp = fingerprint(nxt)
             first = firsts.get(fp, _UNSEEN)
             if first is _UNSEEN:  # alone with its fingerprint: queued unkeyed
-                firsts[fp] = (nxt, new_depth)
+                firsts[fp] = entry
             else:
                 if first is not None:  # the second arrival keys the first
                     firsts[fp] = None
-                    seen[node_key(first[0])] = first[1]
+                    seen[node_key(first[2], fp)] = first
                     keyed += 1
-                key = node_key(nxt)
+                key = node_key(nxt, fp)
                 keyed += 1
-                if seen.get(key, max_steps + 1) <= new_depth:
-                    merged += 1
-                    continue
-                seen[key] = new_depth
-            heapq.heappush(frontier, (
-                new_depth if by_depth else quantale.sort_key(nxt.degree),
-                built, nxt, new_depth, last))
+                known = seen.get(key)
+                if known is not None:
+                    if known[3] <= new_depth:
+                        merged += 1
+                        continue
+                    known[2] = None  # supersede the deeper arrival
+                seen[key] = entry
+            heapq.heappush(frontier, entry)
             frontier_peak = max(frontier_peak, len(frontier))
 
     solutions = list(emitted.values())

@@ -27,6 +27,7 @@ from .quantale import (
     Cbe,
     CbePow,
     CbeScale,
+    CarrierError,
     Quantale,
     QuantaleValue,
     cbe_apply,
@@ -136,6 +137,18 @@ def _apply_env(t: Term, env: dict) -> Term:
 _RawEdge = tuple[Term, Position, int, bool, QuantaleValue, Term, Term]
 
 
+_UNSEEN = object()
+
+
+def _or_none(op, *args) -> Optional[QuantaleValue]:
+    """The degree op(*args), or None when it is past the degree bound: the
+    searches below cannot weigh such a step and treat it as capped."""
+    try:
+        return op(*args)
+    except CarrierError:
+        return None
+
+
 def _conversion_edges(trs: GradedTrs, pool: tuple[Term, ...]):
     """The adjacency function of the symmetric rewrite graph: for a ground
     term u it returns (raw edges, incomplete).  The edges are the forward
@@ -148,7 +161,9 @@ def _conversion_edges(trs: GradedTrs, pool: tuple[Term, ...]):
 
     Reversing a rule that drops variables leaves left-side variables
     unbound; those are filled from the pool and the enumeration is flagged
-    incomplete, since no finite pool covers all ground instantiations.
+    incomplete, since no finite pool covers all ground instantiations.  An
+    edge whose degree is past the degree bound is left out and flagged the
+    same way.
 
     The tables live as long as the returned function: grades interned as
     ints, the grade ids of a symbol's arguments by (grade id, symbol), the
@@ -191,10 +206,13 @@ def _conversion_edges(trs: GradedTrs, pool: tuple[Term, ...]):
                 entries.append((i, rule, forward, backward, unbound_of[i]))
         return entries
 
-    def factor(grade_id: int, i: int) -> QuantaleValue:
-        degree = factors.get((grade_id, i))
-        if degree is None:
-            degree = factors[grade_id, i] = cbe_apply(grades[grade_id], rules[i].degree)
+    def factor(grade_id: int, i: int) -> Optional[QuantaleValue]:
+        """The degree of a step of rule i at a position of this grade, or
+        None when it is past the degree bound."""
+        degree = factors.get((grade_id, i), _UNSEEN)
+        if degree is _UNSEEN:
+            degree = factors[grade_id, i] = _or_none(cbe_apply, grades[grade_id],
+                                                     rules[i].degree)
         return degree
 
     def edges(u: Term) -> tuple[list[_RawEdge], bool]:
@@ -218,14 +236,20 @@ def _conversion_edges(trs: GradedTrs, pool: tuple[Term, ...]):
                 if forward:
                     env = _match_env(rule.lhs, sub)
                     if env is not None:
-                        r = _apply_env(rule.rhs, env)
-                        out.append((replace_at(u, p, r), p, i, True,
-                                    factor(grade_id, i), sub, r))
+                        degree = factor(grade_id, i)
+                        if degree is None:
+                            incomplete = True
+                        else:
+                            r = _apply_env(rule.rhs, env)
+                            out.append((replace_at(u, p, r), p, i, True, degree, sub, r))
                 if backward:
                     env = _match_env(rule.rhs, sub)
                     if env is None:
                         continue
                     degree = factor(grade_id, i)
+                    if degree is None:
+                        incomplete = True
+                        continue
                     envs: Iterable[dict] = (env,)
                     if unbound:
                         incomplete = True
@@ -310,16 +334,20 @@ def best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
     best_meet: Optional[tuple[QuantaleValue, Term]] = None
 
     def consider_meet(node: Term) -> None:
-        nonlocal best_meet
+        nonlocal best_meet, capped
         if node in dist[0] and node in dist[1]:
-            degree = q_tensor(dist[0][node], dist[1][node])
-            if best_meet is None or (q_geq(degree, best_meet[0])
-                                     and degree != best_meet[0]):
+            degree = _or_none(q_tensor, dist[0][node], dist[1][node])
+            if degree is None:
+                capped = True
+            elif best_meet is None or (q_geq(degree, best_meet[0])
+                                       and degree != best_meet[0]):
                 best_meet = (degree, node)
 
     def stop_rule() -> bool:
-        return best_meet is not None and q_geq(
-            best_meet[0], q_tensor(tops[0], tops[1]))
+        if best_meet is None:
+            return False
+        bound = _or_none(q_tensor, tops[0], tops[1])
+        return bound is not None and q_geq(best_meet[0], bound)
 
     consider_meet(t)
     while (heaps[0] or heaps[1]) and not stop_rule():
@@ -356,9 +384,12 @@ def best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
                 if len(dist[0]) + len(dist[1]) >= bounds.max_nodes:
                     capped = True
                     continue
-            dv = tensors.get((du, degree))
-            if dv is None:
-                dv = tensors[du, degree] = q_tensor(du, degree)
+            dv = tensors.get((du, degree), _UNSEEN)
+            if dv is _UNSEEN:
+                dv = tensors[du, degree] = _or_none(q_tensor, du, degree)
+            if dv is None:  # past the degree bound, a cap like the others
+                capped = True
+                continue
             if known is None or (q_geq(dv, known) and dv != known):
                 dist_side[v] = dv
                 parent_side[v] = ConversionEdge(u, v, p, i, forward, degree)

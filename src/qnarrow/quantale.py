@@ -47,6 +47,11 @@ INF = _Infinity()
 
 Extended = Union[Fraction, _Infinity]
 
+# The most bits a degree's numerator or denominator may take: at most 4,215
+# decimal digits, within the 4,300 digits Python converts to a string, so
+# every degree can be printed.  Nested pow grades reach past it quickly.
+MAX_DEGREE_BITS = 14_000
+
 
 def _ext_le(a: Extended, b: Extended) -> bool:
     """Numeric <= on rationals extended with infinity."""
@@ -153,8 +158,15 @@ class QuantaleValue:
     num: Extended
 
     def __post_init__(self):
-        if not isinstance(self.num, _Infinity) and not isinstance(self.num, Fraction):
-            object.__setattr__(self, "num", Fraction(self.num))
+        num = self.num
+        if not isinstance(num, _Infinity):
+            if not isinstance(num, Fraction):
+                num = Fraction(num)
+                object.__setattr__(self, "num", num)
+            if (num.numerator.bit_length() > MAX_DEGREE_BITS
+                    or num.denominator.bit_length() > MAX_DEGREE_BITS):
+                raise CarrierError(f"a degree of {self.quantale.value} needs more "
+                                   f"than {MAX_DEGREE_BITS} bits")
         if not self.quantale.contains(self.num):
             raise CarrierError(f"{self.num} outside carrier of {self.quantale.value}")
         object.__setattr__(self, "_hash", hash((self.quantale, self.num)))
@@ -397,6 +409,11 @@ def cbe_apply(f: Cbe, a: QuantaleValue) -> QuantaleValue:
     if isinstance(f, CbePow):
         if q is not Quantale.FUZZY_PRODUCT:
             raise CbeError(f"pow is not a {q.value} CBE")
+        # x ** n has more than n * (bits of x - 1) bits: refuse before computing
+        bits = max(a.num.numerator.bit_length(), a.num.denominator.bit_length())
+        if f.exponent * (bits - 1) >= MAX_DEGREE_BITS:
+            raise CarrierError(f"pow({f.exponent}) of {a} needs more than "
+                               f"{MAX_DEGREE_BITS} bits")
         return QuantaleValue(q, a.num ** f.exponent)
     if isinstance(f, CbeCompose):
         return cbe_apply(f.outer, cbe_apply(f.inner, a))

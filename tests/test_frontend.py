@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -20,7 +21,7 @@ from qnarrow.frontend import (
     render_solution,
     render_trace,
 )
-from qnarrow.narrow import Solution
+from qnarrow.narrow import Solution, SolveResult
 from qnarrow.quantale import cbe_to_str
 from qnarrow.term import Position, position_from_str
 
@@ -282,6 +283,9 @@ class TestCli:
                   "commuted_skipped": 4, "threshold_pruned": 0, "clash_pruned": 0,
                   "frontier_peak": 3, "states_keyed": 1}
         assert {name: problem[name] for name in counts} == counts
+        # every SolveResult field but the solutions is emitted as is
+        assert set(problem) - {"left", "right", "threshold"} == \
+            {f.name for f in fields(SolveResult)}
 
     def test_solve_trace_flag(self, capsys):
         code = main(["solve", str(DEMOS / "unbalanced.gtrs"), "--trace"])
@@ -364,6 +368,35 @@ class TestCli:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert f"pow exponent exceeds the limit of {MAX_POW}" in proc.stderr
+
+    @pytest.mark.parametrize("depth", [3, 4])
+    def test_nested_pow_degree_exits_two(self, depth, tmp_path):
+        """Nested pow(64) grades compound to pow(64^depth); a degree that
+        would need more than MAX_DEGREE_BITS bits is an input error through
+        the module entry point, not a traceback (two levels still print)."""
+        def nested(leaf):
+            return "f(" * depth + leaf + ")" * depth
+
+        path = tmp_path / "nestedpow.gtrs"
+        path.write_text("quantale fuzzy-product\nfun a/0\nfun b/0\nfun f/1 : (pow(64))\n"
+                        f"rule 1/3 : a -> b\nsolve {nested('a')} =? {nested('b')}\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qnarrow.cli", "solve", str(path), "--max-steps", "1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "bits" in proc.stderr
+
+    def test_two_nested_pows_still_print(self, tmp_path, capsys):
+        path = tmp_path / "nestedpow.gtrs"
+        path.write_text("quantale fuzzy-product\nfun a/0\nfun b/0\nfun f/1 : (pow(64))\n"
+                        "rule 1/3 : a -> b\nsolve f(f(a)) =? f(f(b))\n")
+        assert main(["solve", str(path), "--max-steps", "1"]) == 0
+        assert f"degree 1/{3 ** 4096}" in capsys.readouterr().out
 
     def test_rewrite_innermost(self, capsys):
         code = main(["rewrite", str(DEMOS / "innermost.gtrs"),

@@ -5,15 +5,18 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import os
 import random
+import subprocess
 import sys
 from collections import deque
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qnarrow import (
     App,
@@ -49,12 +52,14 @@ from qnarrow.narrow import (
     _Node,
     _UNSEEN,
     _goal_is_equation,
-    _key_function,
+    _identity_functions,
     _node_trace,
     canonical_subst,
 )
 from qnarrow.quantale import (
     CBE_ID,
+    CarrierError,
+    CbePow,
     QuantaleValue,
     cbe_apply,
     cbe_compose,
@@ -579,6 +584,52 @@ class TestSolve:
         assert [(sol.subst, str(sol.degree)) for sol in result.solutions] == \
             [(Substitution({X: t}), "0"), (Substitution({X: u}), "1")]
 
+    def test_degree_past_the_bound(self):
+        """a -> b under pow(64)^3 has the degree (1/3)^262144, past the
+        degree bound: a search that would build that step raises
+        CarrierError, and at the step bound the depth-cut probe counts the
+        step as one the bound cut."""
+        FP = Quantale.FUZZY_PRODUCT
+        sig = Signature(FP, {"a": (), "b": (), "f": (CbePow(64),)})
+        trs = GradedTrs(sig, (RewriteRule(FP.degree(Fraction(1, 3)), App("a"), App("b")),))
+        t, s = App("a"), App("b")
+        for _ in range(3):
+            t, s = App("f", (t,)), App("f", (s,))
+        for strategy in STRATEGIES:
+            with pytest.raises(CarrierError):
+                solve(trs, t, s, strategy=strategy, max_steps=1)
+            result = solve(trs, t, s, strategy=strategy, max_steps=0)
+            assert result.stopped == "depth-limit" and not result.solutions
+
+    def test_deepest_solvable_goals(self):
+        """Under the default recursion limit, from a script's top level,
+        `solve` handles S^495(a) =? x with a -> b listed twice and S^991(a) =? b
+        with one or two copies of the rule, on both strategies (one level
+        more raises RecursionError).  A walk of the state identity that
+        recursed more than one frame per level would lower these limits."""
+        script = """if True:
+            from qnarrow import App, Quantale, Signature, Var, solve
+            from qnarrow.quantale import CBE_ID
+            from qnarrow.rewrite import GradedTrs, RewriteRule
+            L = Quantale.LAWVERE
+            sig = Signature(L, {"a": (), "b": (), "S": (CBE_ID,)})
+            a_to_b = RewriteRule(L.degree(1), App("a"), App("b"))
+            for n, copies, right in ((495, 2, Var("x")), (991, 1, App("b")),
+                                     (991, 2, App("b"))):
+                t = App("a")
+                for _ in range(n):
+                    t = App("S", (t,))
+                trs = GradedTrs(sig, (a_to_b,) * copies)
+                for strategy in ("eager-su", "lazy"):
+                    result = solve(trs, t, right, strategy=strategy, max_steps=1)
+                    assert result.stopped == "exhausted", (n, copies, strategy)
+        """
+        src = str(Path(solve.__code__.co_filename).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr[-2000:]
+
 
 class TestDerivationToCalculus:
     def test_empty_derivation(self, peano):
@@ -793,21 +844,116 @@ def reference_node_key(node, problem_vars):
     return tuple(out)
 
 
+def _key_function(problem_vars: frozenset[Var]):
+    """The state-key function of one solve call.  A key is a hashable
+    identity of a node: the goal as written (its skeleton decides where LP
+    may still fire, so it must not be resolved), the constraints, and the
+    resolved bindings of every variable in scope, with fresh variables
+    renamed by first occurrence, then the degree.  Serialized in one pass
+    without building terms; a problem variable stands for itself.  This is
+    the state key as `solve` computed it before the key began with the
+    fingerprint (its logic kept verbatim); `reference_solve` keys by it."""
+    markers = [(x, ("=pv", x.name))
+               for x in sorted(problem_vars, key=lambda v: (v.name, v.index))]
+    equation_strs: dict = {}
+    degree_ids: dict = {}
+
+    def equation_str(equation) -> str:
+        text = equation_strs.get(equation)
+        if text is None:
+            text = equation_strs[equation] = str(equation)
+        return text
+
+    def node_key(node: _Node) -> tuple:
+        bindings = node.bindings
+        out: list = []
+        append = out.append
+        slots: dict[Var, int] = {}
+        order: list[Var] = []
+
+        def emit_var(v: Var) -> None:
+            if v.index == 0:
+                append(v)
+                return
+            s = slots.get(v)
+            if s is None:
+                s = slots[v] = len(order)
+                order.append(v)
+            append(s)
+
+        def emit_raw(t: Term) -> None:
+            if isinstance(t, Var):
+                emit_var(t)
+                return
+            append(t.symbol)
+            append(len(t.args))
+            for a in t.args:
+                emit_raw(a)
+
+        def emit_resolved(t: Term) -> None:
+            while isinstance(t, Var):
+                nxt = bindings.get(t)
+                if nxt is None:
+                    emit_var(t)
+                    return
+                t = nxt
+            append(t.symbol)
+            append(len(t.args))
+            for a in t.args:
+                emit_resolved(a)
+
+        emit_raw(node.goal)
+        constraints = node.constraints
+        if constraints:
+            append("|C")
+            if len(constraints) > 1:
+                constraints = sorted(constraints, key=equation_str)
+            for a, b in constraints:
+                append("|")
+                emit_resolved(a)
+                emit_resolved(b)
+        append("|B")
+        for x, marker in markers:
+            if x in bindings:
+                append(marker)
+                emit_resolved(x)
+        i = 0
+        while i < len(order):
+            v = order[i]
+            i += 1
+            if v in bindings:
+                append(("=", slots[v]))
+                emit_resolved(v)
+        degree_id = degree_ids.get(node.degree)
+        if degree_id is None:
+            degree_id = degree_ids[node.degree] = len(degree_ids)
+        append(degree_id)
+        return tuple(out)
+
+    return node_key
+
+
 @contextmanager
 def recorded(scope, name, record):
-    """Within the block, every function that the factory `name`
-    (`_key_function` or `_fingerprint_function`) of the engine globals
-    `scope` makes also calls record(node, value) on each node it maps."""
+    """Within the block, the factory `name` of the engine globals `scope`
+    makes functions that also call record(node, value) on each node they
+    map: the fingerprint of `_identity_functions`, which `solve` computes for
+    every node it builds, or the key of `_key_function`, which
+    `reference_solve` computes for every node it builds."""
     make = scope[name]
 
-    def factory(*args):
-        inner = make(*args)
-
+    def wrap(inner):
         def wrapped(node):
             value = inner(node)
             record(node, value)
             return value
         return wrapped
+
+    def factory(*args):
+        made = make(*args)
+        if isinstance(made, tuple):  # (fingerprint, node_key)
+            return (wrap(made[0]),) + made[1:]
+        return wrap(made)
 
     scope[name] = factory
     try:
@@ -820,7 +966,7 @@ def built_nodes(trs, t, s, **kwargs) -> list:
     """(node, fingerprint) of the start and of every node one `solve` call
     builds: it fingerprints each of them, though it keys only some."""
     built = []
-    with recorded(solve.__globals__, "_fingerprint_function",
+    with recorded(solve.__globals__, "_identity_functions",
                   lambda node, fingerprint: built.append((node, fingerprint))):
         solve(trs, t, s, **kwargs)
     return built
@@ -834,39 +980,56 @@ def random_problem(seed, quantale):
     return (trs, *random_linear_problem(rng, trs))
 
 
+def check_partition(trs, t, s, **kwargs) -> int:
+    """Within one solve, two built states get equal keys exactly when they
+    get equal reference keys; each key begins with its node's fingerprint,
+    as `solve` computed it.  Returns how many nodes were compared."""
+    problem_vars = frozenset(vars_of(t) | vars_of(s))
+    built = built_nodes(trs, t, s, **kwargs)
+    _, node_key = _identity_functions(problem_vars)
+    to_reference, to_new = {}, {}
+    for node, fingerprint in built:
+        new, reference = node_key(node, fingerprint), reference_node_key(node, problem_vars)
+        assert new[:len(fingerprint)] == fingerprint
+        assert to_reference.setdefault(new, reference) == reference, \
+            (kwargs, "merges states the reference keeps apart")
+        assert to_new.setdefault(reference, new) == new, \
+            (kwargs, "splits a state the reference merges")
+    return len(built)
+
+
 def check_keys_imply_fingerprints(trs, t, s, **kwargs) -> int:
-    """Keys every node one `solve` call builds and checks that nodes with
-    equal keys have equal fingerprints; returns how many nodes repeat the
-    key of an earlier one."""
-    node_key = _key_function(frozenset(vars_of(t) | vars_of(s)))
+    """Keys every node one `solve` call builds by the reference key and
+    checks that nodes with equal keys have equal fingerprints, so the gate
+    on fingerprints keys every node a merge needs; returns how many nodes
+    repeat the key of an earlier one."""
+    problem_vars = frozenset(vars_of(t) | vars_of(s))
     fingerprints = {}
     built = built_nodes(trs, t, s, **kwargs)
     for node, fingerprint in built:
-        assert fingerprints.setdefault(node_key(node), fingerprint) == fingerprint, kwargs
+        assert fingerprints.setdefault(reference_node_key(node, problem_vars),
+                                       fingerprint) == fingerprint, kwargs
     return len(built) - len(fingerprints)
 
 
 class TestStateKeys:
     @pytest.mark.parametrize("stem", sorted(path.stem for path in DEMOS.glob("*.gtrs")))
     def test_partition_matches_reference(self, stem):
-        """Within each solve, two built states get equal keys exactly when
-        they get equal reference keys."""
         pf = parse_file(str(DEMOS / f"{stem}.gtrs"))
         for problem in pf.problems:
-            problem_vars = frozenset(vars_of(problem.left) | vars_of(problem.right))
             for strategy, order, steps in GOLDEN_SETTINGS:
-                built = built_nodes(pf.trs, problem.left, problem.right,
-                                    threshold=problem.threshold, strategy=strategy,
-                                    order=order, max_steps=steps)
-                assert len(built) > 1
-                node_key = _key_function(problem_vars)
-                to_reference, to_new = {}, {}
-                for node, _ in built:
-                    new, reference = node_key(node), reference_node_key(node, problem_vars)
-                    assert to_reference.setdefault(new, reference) == reference, \
-                        (strategy, order, "merges states the reference keeps apart")
-                    assert to_new.setdefault(reference, new) == new, \
-                        (strategy, order, "splits a state the reference merges")
+                assert check_partition(pf.trs, problem.left, problem.right,
+                                       threshold=problem.threshold, strategy=strategy,
+                                       order=order, max_steps=steps) > 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), quantale=st.sampled_from(list(Quantale)),
+           steps=st.integers(1, 3))
+    def test_random_systems_partition_matches_reference(self, seed, quantale, steps):
+        trs, t, s = random_problem(seed, quantale)
+        for strategy in STRATEGIES:
+            for order in ORDERS:
+                check_partition(trs, t, s, strategy=strategy, order=order, max_steps=steps)
 
     @pytest.mark.parametrize("strategy, order, steps", GOLDEN_SETTINGS)
     def test_keyed_nodes_carry_constraints_or_bindings(self, strategy, order, steps):
@@ -1275,6 +1438,10 @@ class TestReferenceEngine:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), quantale=st.sampled_from(list(Quantale)),
            steps=st.integers(1, 3))
+    # best-first queued a deeper arrival of a state that a shallower one then
+    # reached: expanding both cost one config more than the reference
+    @example(seed=1789372, quantale=Quantale.LAWVERE, steps=3)
+    @example(seed=573897072, quantale=Quantale.LAWVERE_MAX, steps=3)
     def test_random_systems(self, seed, quantale, steps):
         trs, t, s = random_problem(seed, quantale)
         for strategy in STRATEGIES:
@@ -1331,7 +1498,7 @@ def reached_states(engine, trs, t, s, **kwargs) -> set:
     def record(node, _):
         reached.add(reference_node_key(node, problem_vars))
 
-    factory = "_fingerprint_function" if engine is solve else "_key_function"
+    factory = "_identity_functions" if engine is solve else "_key_function"
     with recorded(engine.__globals__, factory, record):
         engine(trs, t, s, **kwargs)
     return reached

@@ -8,6 +8,7 @@ import json
 import random
 import sys
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -50,6 +51,7 @@ from qnarrow.oracle import (
 )
 from qnarrow.quantale import (
     CBE_ID,
+    CbePow,
     QuantaleValue,
     cbe_apply,
     cbe_compose,
@@ -112,6 +114,26 @@ class TestBestConversionDegree:
         trs = GradedTrs(sig, (RewriteRule(L.degree(1), App("a"), App("b")),))
         out = best_conversion_degree(trs, App("a"), App("c"))
         assert out.degree is None and out.exhausted
+
+    def test_edge_past_the_degree_bound_is_capped(self):
+        """The only step rewrites a under pow(64)^3, whose degree (1/3)^262144
+        is past the degree bound: the search leaves that edge out and says
+        a cap interfered, rather than raising or claiming no conversion."""
+        FP = Quantale.FUZZY_PRODUCT
+        sig = Signature(FP, {"a": (), "b": (), "f": (CbePow(64),)})
+        trs = GradedTrs(sig, (RewriteRule(FP.degree(Fraction(1, 3)), App("a"), App("b")),))
+
+        def f3(leaf):
+            return App("f", (App("f", (App("f", (App(leaf),)),)),))
+
+        out = best_conversion_degree(trs, f3("a"), f3("b"))
+        assert out.degree is None and out.capped and not out.exhausted
+        verdict = verify_solution(trs, f3("a"), f3("b"), Substitution({}),
+                                  FP.degree(Fraction(1, 2)))
+        assert verdict.status == INCONCLUSIVE
+        # one level less fits the bound
+        assert best_conversion_degree(trs, f3("a").args[0], f3("b").args[0]).degree == \
+            FP.degree(Fraction(1, 3 ** 4096))
 
     def test_non_ground_rejected(self, cubic):
         with pytest.raises(OracleError):

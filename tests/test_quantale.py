@@ -1,5 +1,6 @@
 """Degree arithmetic and the CBE fragment algebra."""
 
+import fractions
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from qnarrow import (
     q_meet,
     q_tensor,
 )
-from qnarrow.quantale import CarrierError, CbeError, QuantaleMismatchError
+from qnarrow.quantale import MAX_DEGREE_BITS, CarrierError, CbeError, QuantaleMismatchError
 
 from conftest import random_cbe, random_value
 
@@ -69,6 +70,35 @@ class TestValues:
             q_tensor(L.degree(1), LM.degree(1))
         with pytest.raises(QuantaleMismatchError):
             q_leq(B.degree(1), FG.degree(1))
+
+
+class TestDegreeBound:
+    """A degree's numerator and denominator take at most MAX_DEGREE_BITS
+    bits, so every degree converts to a string."""
+
+    def test_values_past_the_bound_rejected(self):
+        widest = Fraction(1, 2 ** (MAX_DEGREE_BITS - 1))
+        assert len(str(FP.degree(widest))) > 4000
+        assert L.degree(2 ** MAX_DEGREE_BITS - 1).num.numerator.bit_length() == MAX_DEGREE_BITS
+        for q, num in ((FP, widest / 2), (L, Fraction(2 ** MAX_DEGREE_BITS)),
+                       (L, Fraction(1, 3 ** 9000))):
+            with pytest.raises(CarrierError):
+                q.degree(num)
+        with pytest.raises(CarrierError):
+            q_tensor(FP.degree(widest), FP.degree(Fraction(1, 2)))
+
+    def test_pow_refused_before_exponentiating(self, monkeypatch):
+        third = FP.degree(Fraction(1, 3))
+        assert str(cbe_apply(CbePow(64 ** 2), third)) == f"1/{3 ** 4096}"
+        assert cbe_apply(CbePow(2 ** 60), FP.unit) == FP.unit
+
+        def exponentiated(*args):
+            raise AssertionError("pow computed a degree past the bound")
+
+        monkeypatch.setattr(fractions.Fraction, "__pow__", exponentiated)
+        for exponent in (64 ** 3, 2 ** 60):
+            with pytest.raises(CarrierError):
+                cbe_apply(CbePow(exponent), third)
 
 
 class TestTensorOrder:
