@@ -407,7 +407,7 @@ def render_solution(solution: Solution) -> str:
 
 
 def render_constraints(constraints) -> str:
-    inner = ", ".join(f"{a} = {b}" for a, b in sorted(constraints, key=str))
+    inner = ", ".join(sorted(f"{a} = {b}" for a, b in constraints))
     return "{" + inner + "}"
 
 

@@ -57,7 +57,7 @@ from .term import (
     subterm_at,
     vars_of,
 )
-from .unify import Bindings, Equation, mgu, resolve, resolve_all, unifiable
+from .unify import Bindings, Equation, mgu, resolve_all, unifiable
 
 TRUE_TERM = App(TRUE_SYMBOL)
 
@@ -310,9 +310,10 @@ class Solution:
 @dataclass
 class SolveResult:
     """The solutions of one `solve` call, why it stopped, and exact counts
-    of its work.  `states_keyed` counts the state keys computed, the
-    start's included: a built node is keyed only once a second node with
-    its fingerprint arrives, so the count is at most `successors_built` + 1."""
+    of its work, the same on both strategies, which search the same nodes.
+    `states_keyed` counts the state keys computed, the start's included: a
+    built node is keyed only once a second node with its fingerprint
+    arrives, so the count is at most `successors_built` + 1."""
 
     solutions: list[Solution]
     complete: bool
@@ -332,17 +333,18 @@ ORDERS = ("bfs", "best-first")
 
 
 # The search engine keeps substitutions in triangular form (see unify): a
-# plain dict of bindings, extended copy-on-write and resolved on demand.
-# Every node carries `solved`, the triangular solved form of its substitution
-# plus its pending constraints.  LP and Con solve just their one new equation
-# against a copy of the parent's solved form, which decides Cla without
-# re-solving anything; the solver binds only variables unbound in that form,
-# as rule variants are fresh, so nothing is rebound and resolution chains
-# stay acyclic.  The strategy decides only when SU runs: eager discharges
-# every LP at once, so its bindings are its solved form; lazy keeps no
-# bindings until the one SU of `finish` discharges the constraints by `mgu`.
-# Idempotent substitutions are materialized only for emitted solutions, by
-# one `resolve_all` per trace frame.
+# plain dict of bindings, extended copy-on-write and resolved on demand.  A
+# node is its goal, its degree, its solved form and one frame per LP step,
+# and both strategies build, key and merge the same nodes.  Each LP solves
+# just its one new equation against a copy of the parent's solved form,
+# which decides Cla without re-solving anything; the solver binds only
+# variables unbound in that form, as rule variants are fresh, so nothing is
+# rebound and resolution chains stay acyclic.  The strategy decides only
+# when SU runs, so it is read only where a popped node is finished: eager's
+# substitution is the solved form, as SU follows every LP, while lazy's is
+# the identity until the one SU of `finish` discharges the frames'
+# equations by `mgu`.  Idempotent substitutions are materialized only for
+# emitted solutions.
 #
 # Everything the search memoizes lives in tables local to one `solve` call
 # and dies with it:
@@ -352,16 +354,25 @@ ORDERS = ("bfs", "best-first")
 #   - the degree step (tensor with a factor, then the threshold test) is
 #     memoized by (degree, factor);
 #   - the state identity (`_identity_functions`) interns goal shapes as
-#     small ints by a symbol and the shape ids of its arguments, sorts the
-#     problem variables once, and memoizes the sort key of each constraint.
+#     small ints by a symbol and the shape ids of its arguments, and sorts
+#     the problem variables once.
 # LP visits only rules whose left-side head matches the redex, from the
 # system's own `GradedTrs.rules_by_head`, built once per system.
-# Two states get equal keys exactly when their goals, resolved constraints,
-# resolved bindings in scope and degrees agree after fresh variables are
-# renamed by first occurrence.  That renaming follows the constraint order,
-# which is by `str` of each (unresolved) equation, i.e. the dataclass reprs
-# of its terms; those reprs are therefore part of the state identity, and
-# changing them changes which states the search merges.
+# Two states get equal keys exactly when their goals, degrees and resolved
+# solved forms on the variables in scope (the goal's and the problem's)
+# agree after fresh variables are renamed by first occurrence.  That fixes
+# a lazy state as it fixes an eager one, though a lazy state's constraints
+# also hold equations between variables out of scope:
+#   - LP and Cla read only the goal, the degree and the solved form on the
+#     redex's variables: the redex is a goal subterm, and its equation with
+#     a fresh left side unifies against the solved form exactly when it
+#     unifies with the redex resolved;
+#   - the final SU, restricted to the problem variables, reads only the
+#     solved form on the goal variables and the problem variables: staged
+#     SUs give an mgu of the whole set (see below), so it is the solved form
+#     composed with an mgu of the goal equation resolved.
+# So two lazy nodes with equal keys have the same LP steps and reach the same
+# solutions by them, up to renaming, as two eager nodes do.
 #
 # Few built nodes ever meet another of their key, so a node is keyed only
 # once a second node with its fingerprint arrives.  A key begins with the
@@ -379,18 +390,17 @@ ORDERS = ("bfs", "best-first")
 # Independent LP steps are generated in one order only.  Two LP steps at
 # disjoint positions commute: the goal is never instantiated, a step at p
 # leaves the subterm and the grade at a disjoint q unchanged, and every
-# quantale is commutative, so both orders reach the same goal, constraints
-# and degree, with bindings equal up to renaming.  Every queued node but the
-# start came by an LP at some p (eager: the LP of the LP+SU pair), so it
-# skips every LP candidate at a q disjoint from p that `lp_candidates`
-# yields before p.
+# quantale is commutative, so both orders reach the same goal and degree,
+# with solved forms equal up to renaming.  Every queued node but the start
+# came by an LP at some p, so it skips every LP candidate at a q disjoint
+# from p that `lp_candidates` yields before p.
 # That walk is preorder with children taken right to left, so q comes first
 # when q > p as tuples and p is not a prefix of q (`successors`).
 # This is exact:
 #   - any derivation becomes one without a skipped adjacent pair, of equal
 #     length and final state, by swapping such pairs; each swap removes one
 #     inverted disjoint pair.  Its prefixes pass the threshold (the tensor
-#     is deflationary) and unify (their constraints are a subset of the
+#     is deflationary) and unify (their equations are a subset of the
 #     final ones), so the canonical derivation is one the search may take;
 #   - `seen` keeps one arrival per key, at its least depth, and drops the
 #     others, which may skip other steps; no step is lost.  Write N.q for N
@@ -398,7 +408,7 @@ ORDERS = ("bfs", "best-first")
 #     N skip an LP step q (q > p, disjoint).  Disjoint steps commute, so N.q
 #     is M.q.p up to renaming.  q can be built from M: the subterm and grade
 #     at q are the same there, the threshold passes (the tensor is
-#     deflationary), and M.q's constraints are a subset of N.q's.  By
+#     deflationary), and M.q's equations are a subset of N.q's.  By
 #     induction on depth, some expanded node T with the key of M.q exists
 #     at depth <= depth(N).  T builds p unless it skips p, that is, unless T
 #     came by an LP at p' with p > p' disjoint; in that case the argument
@@ -416,8 +426,9 @@ ORDERS = ("bfs", "best-first")
 #     solution, recording each LP equation as (lhs, redex) for (lhs,
 #     sigma(redex)), and ending it by one SU keeps its LP steps, Con and LP
 #     depth.  No prefix clashes (the original's substitution unifies every
-#     equation), and `compatible` passes (a left side unifiable with an
-#     instance of a redex is compatible with the redex);
+#     equation), and `compatible` passes (the left side unifies with the
+#     redex under the prefix's solved form, of which that substitution is an
+#     instance);
 #   - the final substitutions are equal.  With sigma1 = mgu(E1), sigma1
 #     composed with mgu(sigma1(E2)) is an mgu of E1 and E2, so staged SUs
 #     give an mgu of the whole set; the solver binds the fresher of two
@@ -425,44 +436,49 @@ ORDERS = ("bfs", "best-first")
 #     to its least member by (index, name) in any order and staging, and the
 #     resolved mgu is unique.  Fresh indices rise in step order along a
 #     derivation in both searches, so `canonical_subst` renders alike;
-#   - conversely LP steps, Con and SU form a lazy derivation.  So without a
-#     config limit both schedules emit the same solutions and stop alike (a
-#     node at the bound after an SU has no LP candidate its SU-free twin
-#     lacks).
+#   - conversely LP steps, Con and SU form a lazy derivation.  Its LP steps,
+#     each followed by an SU, form an eager one with the same solved forms,
+#     so lazy search is eager search with another final SU and another
+#     derivation written: both emit the same solutions, count the same work
+#     and stop alike.
 
 
 @dataclass(frozen=True)
 class _Node:
-    """Internal search state; traces snapshot the bindings per applied rule
-    and are resolved into BqTraceStep records only on emission.  `bindings`
-    is the calculus substitution, which the state key and the trace frames
-    read; `solved` is the triangular solved form of the bindings plus the
-    constraints.  An eager node has discharged its constraints, so both are
-    one dict.  A lazy node has no bindings: it collects its LP equations as
-    constraints until one Con and one SU discharge them when it is popped."""
+    """Internal search state: the goal, the degree, the triangular solved
+    form of every equation recorded so far, and one frame per LP step,
+    (position, rule index, goal, equation, solved form, degree), from which
+    `_node_trace` writes the derivation of an emitted solution."""
 
     goal: Term
-    constraints: frozenset
-    bindings: Bindings
     degree: QuantaleValue
-    solved: Optional[Bindings] = None
+    solved: Bindings
     frames: tuple = ()
 
-    def advance(self, tag, position, rule_index, goal, constraints, bindings, degree,
-                solved=None):
-        frame = (tag, position, rule_index, goal, constraints, bindings, degree)
-        return _Node(goal, constraints, bindings, degree, solved,
-                     self.frames + (frame,))
 
-
-def _node_trace(node_frames) -> tuple[BqTraceStep, ...]:
+def _node_trace(node: _Node, final: Substitution, eager: bool) -> tuple[BqTraceStep, ...]:
+    """The calculus derivation of a finished node, written from its frames
+    and ended by Con on its goal equation and one SU to `final`.  On eager
+    an SU follows every LP, and each LP records its equation under the
+    substitution before it; on lazy the LP equations accumulate as
+    constraints under the identity."""
     out = []
-    for tag, pos, rule, goal, constraints, bindings, degree in node_frames:
-        subst = Substitution.trusted(resolve_all(bindings))
-        out.append(BqTraceStep(
-            tag, pos, rule, goal,
-            frozenset((subst.apply(a), subst.apply(b)) for a, b in constraints),
-            subst, degree))
+    subst = IDENTITY
+    constraints: frozenset = frozenset()
+    for position, rule, goal, (lhs, sub), solved, degree in node.frames:
+        if eager:
+            out.append(BqTraceStep("LP", position, rule, goal,
+                                   frozenset({(subst.apply(lhs), subst.apply(sub))}),
+                                   subst, degree))
+            subst = Substitution.trusted(resolve_all(solved))
+            out.append(BqTraceStep("SU", None, None, goal, frozenset(), subst, degree))
+        else:
+            constraints = constraints | {(lhs, sub)}
+            out.append(BqTraceStep("LP", position, rule, goal, constraints, subst, degree))
+    left, right = node.goal.args
+    constraints = constraints | {(subst.apply(left), subst.apply(right))}
+    out.append(BqTraceStep("Con", None, None, TRUE_TERM, constraints, subst, node.degree))
+    out.append(BqTraceStep("SU", None, None, TRUE_TERM, frozenset(), final, node.degree))
     return tuple(out)
 
 
@@ -470,16 +486,15 @@ def _identity_functions(problem_vars: frozenset[Var]):
     """The fingerprint and state-key functions of one solve call.  A
     fingerprint is the goal's shape with every variable collapsed (interned
     as a small int by symbol and argument shapes, and walked in full: a memo
-    by term value costs more on goals this small and recurses deeper), the
-    degree and the number of constraints.  A key begins with the fingerprint
-    and adds what it leaves out: the goal's variables in preorder (the goal
-    is not resolved, as its skeleton decides where LP may fire), the resolved
-    constraints, and the resolved bindings in scope, with fresh variables
-    renamed by first occurrence; a problem variable stands for itself."""
+    by term value costs more on goals this small and recurses deeper) and
+    the degree.  A key begins with the fingerprint and adds what it leaves
+    out: the goal's variables in preorder (the goal is not resolved, as its
+    skeleton decides where LP may fire), then the solved form on the problem
+    variables and the goal's, resolved, with fresh variables renamed by
+    first occurrence; a problem variable stands for itself."""
     markers = [(x, ("=pv", x.name))
                for x in sorted(problem_vars, key=lambda v: (v.name, v.index))]
     shape_ids: dict[tuple, int] = {}
-    equation_strs: dict = {}
 
     def shape(t: Term) -> int:
         if isinstance(t, Var):
@@ -494,16 +509,10 @@ def _identity_functions(problem_vars: frozenset[Var]):
         return s
 
     def fingerprint(node: _Node) -> tuple:
-        return shape(node.goal), node.degree, len(node.constraints)
-
-    def equation_str(equation) -> str:
-        text = equation_strs.get(equation)
-        if text is None:
-            text = equation_strs[equation] = str(equation)
-        return text
+        return shape(node.goal), node.degree
 
     def node_key(node: _Node, fp: tuple) -> tuple:
-        bindings = node.bindings
+        bindings = node.solved
         out = list(fp)
         append = out.append
         slots: dict[Var, int] = {}
@@ -539,12 +548,6 @@ def _identity_functions(problem_vars: frozenset[Var]):
                 emit_resolved(a)
 
         emit_goal_vars(node.goal)
-        constraints = node.constraints
-        if len(constraints) > 1:
-            constraints = sorted(constraints, key=equation_str)
-        for a, b in constraints:
-            emit_resolved(a)
-            emit_resolved(b)
         for x, marker in markers:
             if x in bindings:
                 append(marker)
@@ -579,7 +582,9 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     Each LP checks its equation against the node's solved form (Cla), and
     each popped node is finished by Con and one SU on its goal equation;
     "eager-su" also runs SU right after every LP, while "lazy" collects the
-    LP equations as constraints until that final SU.  A threshold prunes
+    LP equations as constraints until that final SU.  So both strategies
+    search the same nodes, count the same work and find the same solutions,
+    and only the derivations of the solutions differ.  A threshold prunes
     configurations whose degree falls below it, and must be a degree of the
     system's quantale, or QuantaleMismatchError is raised before the search
     starts; max_steps bounds the number of LP applications on a branch.
@@ -606,7 +611,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     problem_vars = frozenset(vars_of(t) | vars_of(s))
     counter = FreshCounter(
         max_var_index([t, s] + [x for r in trs.rules for x in (r.lhs, r.rhs)]) + 1)
-    start = _Node(App(EQ_SYMBOL, (t, s)), frozenset(), {}, quantale.unit, {})
+    start = _Node(App(EQ_SYMBOL, (t, s)), quantale.unit, {})
     fingerprint, node_key = _identity_functions(problem_vars)
 
     goal_sig = trs.extended.signature
@@ -660,12 +665,11 @@ def solve(trs: GradedTrs, t: Term, s: Term,
 
     def lp_candidates(node: _Node):
         """(position, rule index, rule, redex, degree factor); the position
-        grade is accumulated along the traversal.  `compatible` walks the
-        node's bindings, so on lazy nodes, which have none, it compares the
-        redex as written; Cla on the solved form decides the rest.  It draws
-        no fresh variant (fresh indices decide the key's constraint order), so
-        the depth-cut probe can call it without altering the search."""
-        bindings = node.bindings
+        grade is accumulated along the traversal, and `compatible` compares
+        each rule's left side with the redex under the node's solved form.
+        It draws no fresh variant, so the depth-cut probe can call it without
+        altering the fresh names of the search."""
+        bindings = node.solved
         stack = [(ROOT, node.goal, 0)]
         while stack:
             p, sub, grade_id = stack.pop()
@@ -695,9 +699,9 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     eager = strategy == "eager-su"
 
     def successors(node: _Node, after: Position) -> Iterator[tuple[_Node, Position]]:
-        """The LP successors of a node, each with its LP position; eager adds
-        an SU to each.  `after` is the LP position the node was queued with;
-        LP steps that commute before it are skipped."""
+        """The LP successors of a node, each with its LP position.  `after`
+        is the LP position the node was queued with; LP steps that commute
+        before it are skipped."""
         nonlocal skipped, threshold_pruned, clash_pruned
         for p, i, rule, sub, factor in lp_candidates(node):
             new_degree = step(node.degree, factor)
@@ -714,33 +718,25 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                 clash_pruned += 1  # Cla fires on this configuration
                 continue
             goal = replace_at(node.goal, p, rhs)
-            nxt = node.advance("LP", p, i, goal, node.constraints | {equation},
-                               node.bindings, new_degree, solved)
-            if eager:
-                nxt = nxt.advance("SU", None, None, goal, frozenset(), solved,
-                                  new_degree, solved)
-            yield nxt, p
+            frame = (p, i, goal, equation, solved, new_degree)
+            yield _Node(goal, new_degree, solved, node.frames + (frame,)), p
 
     def finish(node: _Node) -> None:
         """Con on the goal equation (no rule has the head =?), then one SU,
-        emitted when the equation unifies with the node's solved form."""
+        emitted when the equation unifies with the node's solved form.  Eager
+        takes that SU from the solved form, lazy from the mgu of its frames'
+        equations and the goal equation."""
         solved = dict(node.solved)
         if not unifiable((node.goal.args,), solved):
             return
         if eager:
-            constraints = frozenset({tuple(resolve(x, node.bindings) for x in node.goal.args)})
+            final = Substitution.trusted(resolve_all(solved))
         else:
-            constraints = node.constraints | {node.goal.args}
-            solved = dict(mgu(constraints).items())
-        restricted = canonical_subst(
-            Substitution.trusted(resolve_all(solved)).restrict(problem_vars))
+            final = mgu([frame[3] for frame in node.frames] + [node.goal.args])
+        restricted = canonical_subst(final.restrict(problem_vars))
         key = (restricted, node.degree)
         if key not in emitted:
-            final = node.advance("Con", None, None, TRUE_TERM, constraints,
-                                 node.bindings, node.degree)
-            final = final.advance("SU", None, None, TRUE_TERM, frozenset(), solved,
-                                  node.degree)
-            emitted[key] = Solution(restricted, node.degree, _node_trace(final.frames))
+            emitted[key] = Solution(restricted, node.degree, _node_trace(node, final, eager))
 
     # One frontier for both orders: a heap of [priority, arrival, node, depth,
     # LP position] entries.  `built` stamps arrivals, so equal priorities pop

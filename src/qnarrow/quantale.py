@@ -81,10 +81,6 @@ class Quantale(Enum):
     def reversed_order(self) -> bool:
         return self in (Quantale.LAWVERE, Quantale.LAWVERE_MAX)
 
-    @property
-    def totally_ordered(self) -> bool:
-        return True
-
     def contains(self, num: Extended) -> bool:
         if num is INF:
             return self.reversed_order

@@ -46,8 +46,7 @@ class SubstitutionError(TermError):
 @dataclass(frozen=True, eq=False)
 class Var:
     # hash cached as for App (variables key every bindings dict), with the
-    # value the generated hash gave; the generated repr is kept, because
-    # search state keys order constraints by their rendering
+    # value the generated hash gave
     name: str
     index: int = 0
 

@@ -353,6 +353,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("strategy", ["eager-su", "lazy"])
+    def test_trace_of_deep_solution(self, strategy, tmp_path):
+        """`--trace` renders a solution nested 400 deep, as the plain answer
+        does: the constraints are sorted by their rendered text, not by the
+        recursive reprs of their terms.  Run as the console script runs it,
+        from a fresh interpreter."""
+        path = tmp_path / "deep.gtrs"
+        deep = f"{'S(' * 400}Z{')' * 400}"
+        path.write_text("quantale lawvere\nvar x\nfun Z/0\nfun S/1\nfun f/1\n"
+                        f"rule 1 : f(x) -> x\nsolve x =? {deep}\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qnarrow.cli", "solve", str(path), "--max-steps", "1",
+             "--strategy", strategy, "--trace"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert f"solution {{x -> {deep}}} degree 0" in proc.stdout
+        assert f"Con - - | true ; {{x = {deep}}} ; {{}} ; 0" in proc.stdout
+
     def test_huge_pow_exits_two(self, tmp_path):
         """The module entry point, as the installed console script runs it:
         an exponent beyond MAX_POW is an input error, not a traceback."""

@@ -278,8 +278,6 @@ def reference_best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
                                      ) -> ConversionOutcome:
     """The former `best_conversion_degree`, its logic kept verbatim: every
     target re-measured for the caps, every edge weighed from scratch."""
-    if not trs.quantale.totally_ordered:
-        raise OracleError("oracle requires a totally ordered quantale")
     if not is_ground(t) or not is_ground(s):
         raise OracleError("oracle works on ground terms")
     if instantiation_pool is None:
