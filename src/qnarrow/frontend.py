@@ -271,12 +271,17 @@ class _Parser:
             if arg.kind != "number":
                 lp.error(f"expected a number, found {arg.text!r}", arg)
             lp.expect(")")
-            if tok.text == "pow" and "/" not in arg.text and (  # lengths first
-                    len(arg.text.lstrip("0")) > len(str(MAX_POW)) or int(arg.text) > MAX_POW):
-                lp.error(f"pow exponent exceeds the limit of {MAX_POW}", arg)
+            if tok.text == "pow":
+                if "/" in arg.text:
+                    lp.error(f"pow exponent must be a whole number, found {arg.text!r}", arg)
+                # lengths first: int() refuses a string of more than 4,300 digits
+                if len(arg.text.lstrip("0")) > len(str(MAX_POW)) or int(arg.text) > MAX_POW:
+                    lp.error(f"pow exponent exceeds the limit of {MAX_POW}", arg)
             try:
                 cbe = (CbeScale(Fraction(arg.text)) if tok.text == "scale"
                        else CbePow(int(arg.text)))
+            except ZeroDivisionError:
+                lp.error(f"scale factor {arg.text!r} has a zero denominator", arg)
             except (CbeError, ValueError) as exc:
                 lp.error(str(exc), arg)
             if not cbe_admissible(quantale, cbe):

@@ -11,7 +11,10 @@ The search orders degrees totally, and all five shipped quantales are
 chains; every verdict is qualified by the exploration bounds.  Each
 conversion search keeps its own lookup tables (rule index, interned grades,
 degree factors and tensors) and checks its caps by arithmetic on the
-expanded node's shape; nothing it memoizes outlives the call.
+expanded node's shape; nothing it memoizes outlives the call.  Once its
+node budget is full and a cap has interfered, only an edge to a known node
+not yet settled can change the outcome, so from then on a node is expanded
+toward those nodes alone; the outcome is the one the whole walk gives.
 """
 
 from __future__ import annotations
@@ -95,6 +98,11 @@ class ConversionOutcome:
     optimal means the degree is proven best (the search closed without any
     cap interfering); exhausted means the whole reachable component was
     explored, so a missing path is a proof of non-convertibility.
+
+    expanded counts the nodes settled and expanded, targets_built the edge
+    targets built for them (or, once the search looks only for known nodes,
+    found among those); they say where the work went and take no part in
+    equality.
     """
 
     degree: Optional[QuantaleValue]
@@ -102,6 +110,8 @@ class ConversionOutcome:
     optimal: bool
     exhausted: bool
     capped: bool
+    expanded: int = field(default=0, compare=False)
+    targets_built: int = field(default=0, compare=False)
 
 
 def _match_env(pattern: Term, subject: Term) -> Optional[dict]:
@@ -165,6 +175,15 @@ def _conversion_edges(trs: GradedTrs, pool: tuple[Term, ...]):
     edge whose degree is past the degree bound is left out and flagged the
     same way.
 
+    Given toward, which maps each context (see _contexts) of a set of
+    targets to {subterm there: target}, the walk keeps exactly the edges
+    that reach a target, in the order above.  A step at p reaches a target
+    w exactly when u and w agree off p, which is when their contexts at p
+    are equal, and the step puts w|p at p.  So the walk visits only the
+    positions whose context toward holds, and keeps an edge only when its
+    replacement is a subterm held there; it returns that target rather
+    than building it.
+
     The tables live as long as the returned function: grades interned as
     ints, the grade ids of a symbol's arguments by (grade id, symbol), the
     degree factor by (grade id, rule index), and per (symbol, argument
@@ -215,19 +234,28 @@ def _conversion_edges(trs: GradedTrs, pool: tuple[Term, ...]):
                                                      rules[i].degree)
         return degree
 
-    def edges(u: Term) -> tuple[list[_RawEdge], bool]:
+    def edges(u: Term, toward: Optional[dict] = None) -> tuple[list[_RawEdge], bool]:
         out: list[_RawEdge] = []
         incomplete = False
-        stack = [((), u, 0)]
+        want = None
+        stack: list = [((), u, 0, ())]
         while stack:
-            p, sub, grade_id = stack.pop()
+            p, sub, grade_id, context = stack.pop()
             symbol, args = sub.symbol, sub.args
             arg_grades = child_grades.get((grade_id, symbol))
             if arg_grades is None:
                 arg_grades = child_grades[grade_id, symbol] = \
                     argument_grades(grade_id, symbol)
-            for k, arg_grade in enumerate(arg_grades):
-                stack.append((p + (k + 1,), args[k], arg_grade))
+            if toward is None:
+                for k, arg_grade in enumerate(arg_grades):
+                    stack.append((p + (k + 1,), args[k], arg_grade, None))
+            else:
+                want = toward.get(context)
+                if not want:  # no target agrees with u off p, nor off a position below
+                    continue
+                for k, arg_grade in enumerate(arg_grades):  # contexts as in _contexts
+                    stack.append((p + (k + 1,), args[k], arg_grade,
+                                  (context, symbol, k, args[:k], args[k + 1:])))
             key = (symbol, len(args))
             candidates = index.get(key)
             if candidates is None:
@@ -241,7 +269,9 @@ def _conversion_edges(trs: GradedTrs, pool: tuple[Term, ...]):
                             incomplete = True
                         else:
                             r = _apply_env(rule.rhs, env)
-                            out.append((replace_at(u, p, r), p, i, True, degree, sub, r))
+                            v = replace_at(u, p, r) if want is None else want.get(r)
+                            if v is not None:
+                                out.append((v, p, i, True, degree, sub, r))
                 if backward:
                     env = _match_env(rule.rhs, sub)
                     if env is None:
@@ -257,10 +287,29 @@ def _conversion_edges(trs: GradedTrs, pool: tuple[Term, ...]):
                                 for filling in itertools.product(pool, repeat=len(unbound)))
                     for filled in envs:
                         r = _apply_env(rule.lhs, filled)
-                        out.append((replace_at(u, p, r), p, i, False, degree, sub, r))
+                        v = replace_at(u, p, r) if want is None else want.get(r)
+                        if v is not None:
+                            out.append((v, p, i, False, degree, sub, r))
         return out, incomplete
 
     return edges
+
+
+def _contexts(t: Term) -> list[tuple[tuple, Term]]:
+    """(context, subterm) at every position of a term.  The context of the
+    root is (); that of the k-th argument (from 0) of a subterm f(...) with
+    context c is (c, f, k, the arguments before it, the arguments after it).
+    Two terms agree everywhere off a position p exactly when their contexts
+    at p are equal."""
+    out = []
+    stack: list[tuple[tuple, Term]] = [((), t)]
+    while stack:
+        context, sub = stack.pop()
+        out.append((context, sub))
+        args = sub.args
+        for k in range(len(args)):
+            stack.append(((context, sub.symbol, k, args[:k], args[k + 1:]), args[k]))
+    return out
 
 
 def _shape(t: Term, memo: dict) -> tuple[int, int]:
@@ -310,6 +359,21 @@ def best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
     The shapes come from a memo of u's subterms that lives for one
     expansion; the targets of a start node deeper than the cap are
     measured directly.
+
+    Once the node budget is full and a cap has interfered, a node is
+    expanded only toward the known, unsettled nodes of its side, and not
+    at all when there are none.  That leaves the outcome as it was: no new
+    node can enter a full budget, and once capped is set no further cap
+    event changes a flag, so the only edges that can change a degree, a
+    parent link, the meet or the heap are those to a known node not yet
+    settled.  The walk keeps exactly those edges, in the order of the
+    whole walk, so ties and the heap's sequence numbers fall as before.
+    Until then every edge is built, since a dropped target must still set
+    capped.  The contexts of the known, unsettled nodes are indexed once,
+    when the restriction starts, and a node's are removed when it is
+    settled; no node enters after the start.  The index costs about the
+    size of those nodes, so an expansion does not pay for every open node
+    as a walk of u against each of them would.
     """
     if not is_ground(t) or not is_ground(s):
         raise OracleError("oracle works on ground terms")
@@ -332,6 +396,10 @@ def best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
     seq = 0
     capped = False
     best_meet: Optional[tuple[QuantaleValue, Term]] = None
+    # per side, once they are the only targets that matter, the contexts
+    # of the known nodes not yet settled: {context: {subterm there: node}}
+    toward_unsettled: Optional[tuple[dict, dict]] = None
+    expanded = targets_built = 0
 
     def consider_meet(node: Term) -> None:
         nonlocal best_meet, capped
@@ -362,11 +430,29 @@ def best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
         tops[side] = du
         if stop_rule():
             break
-        edges, incomplete = edges_of(u)
-        if incomplete:
-            capped = True
-        shapes: dict[Term, tuple[int, int]] = {}
-        u_size, u_depth = _shape(u, shapes)
+        expanded += 1
+        if (toward_unsettled is None and capped
+                and len(dist[0]) + len(dist[1]) >= bounds.max_nodes):
+            toward_unsettled = ({(): {}}, {(): {}})
+            for toward, dist_k, settled_k in zip(toward_unsettled, dist, settled):
+                for w in dist_k.keys() - settled_k:
+                    for context, sub in _contexts(w):
+                        toward.setdefault(context, {})[sub] = w
+        if toward_unsettled is None:
+            edges, incomplete = edges_of(u)
+            if incomplete:
+                capped = True
+            shapes: dict[Term, tuple[int, int]] = {}
+            u_size, u_depth = _shape(u, shapes)
+        else:  # every target is known, so none reaches the cap tests below
+            toward = toward_unsettled[side]
+            if u in toward[()]:  # all but the node settled as the index was built
+                for context, sub in _contexts(u):
+                    del toward[context][sub]
+            if not toward[()]:
+                continue
+            edges, _ = edges_of(u, toward)
+        targets_built += len(edges)
         for v, p, i, forward, degree, replaced, replacement in edges:
             if v in settled_side:
                 continue
@@ -398,8 +484,9 @@ def best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
                 heapq.heappush(heaps[side], (quantale.sort_key(dv), seq, v))
 
     if best_meet is None:
-        return ConversionOutcome(None, None, optimal=False,
-                                 exhausted=not capped, capped=capped)
+        return ConversionOutcome(None, None, optimal=False, exhausted=not capped,
+                                 capped=capped, expanded=expanded,
+                                 targets_built=targets_built)
     degree, meet = best_meet
     forward_path: list[ConversionEdge] = []
     node = meet
@@ -413,8 +500,9 @@ def best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
         edge = parent[1][node]
         forward_path.append(_flip(edge))
         node = edge.source
-    return ConversionOutcome(degree, forward_path, optimal=not capped,
-                             exhausted=False, capped=capped)
+    return ConversionOutcome(degree, forward_path, optimal=not capped, exhausted=False,
+                             capped=capped, expanded=expanded,
+                             targets_built=targets_built)
 
 
 CONFIRMED = "CONFIRMED"

@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Optional
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qnarrow import App, GtrsError, Quantale, Substitution, Var, parse, solve
 from qnarrow.cli import main
@@ -223,6 +224,59 @@ class TestDiagnostics:
         err = expect_error(HUGE_POW_TEXT, "pow exponent exceeds")
         assert (err.line, err.col) == (4, 16)
 
+    def test_fractional_cbe_numbers(self):
+        """A scale factor over zero and a fractional pow exponent are input
+        errors at their number."""
+        for factor in ("1/0", "0/0", "3/00"):
+            err = expect_error(f"quantale lawvere\nfun f/1 : (scale({factor}))\n",
+                               f"scale factor {factor!r} has a zero denominator")
+            assert (err.line, err.col) == (2, 18)
+        err = expect_error("quantale fuzzy-product\nfun f/1 : (pow(1/2))\n",
+                           "pow exponent must be a whole number, found '1/2'")
+        assert (err.line, err.col) == (2, 16)
+
+
+# Pieces of the rule-file format for the parser fuzz test: keywords, names,
+# numbers (a zero denominator among them), punctuation and stray characters.
+FUZZ_WORDS = ("quantale", "var", "fun", "rule", "solve", "threshold", "inf", "true",
+              *(q.value for q in Quantale), "id", "const", "scale", "pow",
+              "a", "b", "f", "g", "x", "y", "Z", "S", "+", "*", "-")
+FUZZ_NUMBERS = ("0", "1", "2", "64", "65", "007", "1/2", "3/4", "1/0", "0/0")
+FUZZ_PUNCTUATION = ("(", ")", ",", ":", ";", "/", "->", "=?", "#")
+FUZZ_STRAY = ("@", "!", "=", "\u00e9", "\t", "[")
+
+fuzz_token = st.sampled_from(FUZZ_WORDS + FUZZ_NUMBERS + FUZZ_PUNCTUATION + FUZZ_STRAY)
+fuzz_cbe = st.one_of(st.sampled_from(("id", "const")),
+                     st.builds("{}({})".format, st.sampled_from(("scale", "pow")),
+                               st.sampled_from(FUZZ_NUMBERS)))
+# a declaration shaped as the format has it, so the parser gets past the
+# keyword; at most 12 tokens or 3 CBEs a line and 8 lines keep the nesting
+# far below the recursion limit
+fuzz_line = st.one_of(
+    st.builds(" ".join, st.lists(fuzz_token, max_size=12)),
+    st.builds("".join, st.lists(fuzz_token, max_size=12)),
+    st.builds("fun {}/{} : ({})".format, st.sampled_from(FUZZ_WORDS),
+              st.sampled_from(FUZZ_NUMBERS),
+              st.builds(", ".join, st.lists(fuzz_cbe, max_size=3))),
+    st.builds("{} {}".format, st.sampled_from(("quantale", "var", "fun", "rule", "solve")),
+              st.builds(" ".join, st.lists(fuzz_token, max_size=12))))
+
+
+class TestParseFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(header=st.sampled_from(("", "quantale lawvere\n", "quantale fuzzy-product\n",
+                                   "quantale lawvere\nvar x y\nfun a/0\nfun f/1\nfun g/2\n")),
+           lines=st.lists(fuzz_line, max_size=8))
+    @example(header="quantale lawvere\n", lines=["fun f/1 : (scale(1/0))"])
+    @example(header="quantale fuzzy-product\n", lines=["fun f/1 : (pow(1/2))"])
+    def test_parses_or_raises_gtrs_error(self, header, lines):
+        """Every input either parses or raises GtrsError: no other
+        exception escapes the parser."""
+        try:
+            parse(header + "\n".join(lines))
+        except GtrsError:
+            pass
+
 
 class TestRendering:
     def test_solution_line(self):
@@ -411,6 +465,21 @@ class TestCli:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "bits" in proc.stderr
+
+    def test_zero_denominator_scale_exits_two(self, tmp_path):
+        """`check` on a file whose scale factor has a zero denominator is
+        an input error through the module entry point, not a traceback."""
+        path = tmp_path / "zeroscale.gtrs"
+        path.write_text("quantale lawvere\nfun f/1 : (scale(1/0))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-m", "qnarrow.cli", "check", str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: {path}:2:18: scale factor '1/0' "
+                               "has a zero denominator\n")
 
     def test_two_nested_pows_still_print(self, tmp_path, capsys):
         path = tmp_path / "nestedpow.gtrs"

@@ -13,7 +13,9 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qnarrow.oracle
 from qnarrow import (
     App,
     GradedTrs,
@@ -32,7 +34,7 @@ from qnarrow import (
     verify_solution,
 )
 from qnarrow.cli import main as cli_main
-from qnarrow.frontend import parse_file
+from qnarrow.frontend import parse, parse_file
 from qnarrow.oracle import (
     CONFIRMED,
     INCONCLUSIVE,
@@ -42,6 +44,7 @@ from qnarrow.oracle import (
     ConversionOutcome,
     SystemConfig,
     _apply_env,
+    _contexts,
     _conversion_edges,
     _flip,
     _match_env,
@@ -382,6 +385,10 @@ def ground_pairs(rng, trs, count):
     return pairs
 
 
+# a reaches b at 1 and c at 2 (or at 1 through b); d reaches only e
+BUDGET_TEXT = ("quantale lawvere\nfun a/0\nfun b/0\nfun c/0\nfun d/0\nfun e/0\n"
+               "rule 1 : a -> b\nrule 2 : a -> c\nrule 0 : b -> c\nrule 1 : d -> e\n")
+
 # name -> bounds; each family makes its own cap bind somewhere below
 REFERENCE_BOUNDS = {
     "nodes": OracleBounds(max_nodes=300),
@@ -394,19 +401,41 @@ REFERENCE_BOUNDS = {
 }
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """The adjacency walks of best_conversion_degree, in order, as (node,
+    restricted): restricted when the walk goes only toward known, unsettled
+    nodes."""
+    log: list[tuple[Term, bool]] = []
+
+    def recording_edges(trs, pool):
+        edges = _conversion_edges(trs, pool)
+
+        def recorded(u, toward=None):
+            log.append((u, toward is not None))
+            return edges(u, toward)
+        return recorded
+
+    monkeypatch.setattr(qnarrow.oracle, "_conversion_edges", recording_edges)
+    return log
+
+
 class TestReferenceSearch:
-    """The per-call tables and the cap arithmetic must leave every outcome
+    """The per-call tables, the cap arithmetic and the walks restricted to
+    known, unsettled nodes once the budget is full must leave every outcome
     as the former search computed it: degree, flags and every path edge."""
 
-    def compare(self, trs, pairs, capped_by, pools=(None,)):
+    def compare(self, trs, pairs, counts, walks, pools=(None,)):
         for t, s in pairs:
             for name, bounds in REFERENCE_BOUNDS.items():
                 for pool in pools:
+                    walks.clear()
                     new = best_conversion_degree(trs, t, s, bounds, pool)
                     old = reference_best_conversion_degree(trs, t, s, bounds, pool)
                     assert new == old, (trs.rules, t, s, name, pool)
-                    capped_by[name] += new.capped
-                    capped_by["met"] += new.degree is not None
+                    counts[name] += new.capped
+                    counts["met"] += new.degree is not None
+                    counts["restricted"] += sum(restricted for _, restricted in walks)
 
     def test_edges_in_reference_order(self):
         """Heap tie-breaks and witness paths hang on the edge order, so the
@@ -429,20 +458,20 @@ class TestReferenceSearch:
                         filled += incomplete
         assert filled
 
-    def test_demo_systems(self):
+    def test_demo_systems(self, walks):
         rng = random.Random(61)
-        capped_by = dict.fromkeys(list(REFERENCE_BOUNDS) + ["met"], 0)
+        counts = dict.fromkeys(list(REFERENCE_BOUNDS) + ["met", "restricted"], 0)
         for path in sorted(DEMOS.glob("*.gtrs")):
             trs = parse_file(str(path)).trs
-            self.compare(trs, ground_pairs(rng, trs, 5), capped_by)
-        assert all(capped_by.values()), capped_by
+            self.compare(trs, ground_pairs(rng, trs, 5), counts, walks)
+        assert all(counts.values()), counts
 
-    def test_random_systems(self):
+    def test_random_systems(self, walks):
         """All five quantales, non-identity sensitivities, and rules that
         drop variables (so reversed steps are filled from the pool, also
         from a pool with a non-constant term)."""
         rng = random.Random(62)
-        capped_by = dict.fromkeys(list(REFERENCE_BOUNDS) + ["met"], 0)
+        counts = dict.fromkeys(list(REFERENCE_BOUNDS) + ["met", "restricted"], 0)
         filled = 0
         for trial in range(20):
             q = list(Quantale)[trial % 5]
@@ -453,8 +482,79 @@ class TestReferenceSearch:
             consts = tuple(App(c) for c in trs.signature.constants())
             pools = (None, consts[:1] + (App("f0", consts[:1]),))
             filled += any(vars_of(r.lhs) - vars_of(r.rhs) for r in trs.rules)
-            self.compare(trs, ground_pairs(rng, trs, 3), capped_by, pools)
-        assert filled and all(capped_by.values()), (filled, capped_by)
+            self.compare(trs, ground_pairs(rng, trs, 3), counts, walks, pools)
+        assert filled and all(counts.values()), (filled, counts)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), quantale=st.sampled_from(list(Quantale)),
+           max_nodes=st.integers(0, 20))
+    def test_random_budgets(self, seed, quantale, max_nodes):
+        """Budgets small enough to fill in a few expansions, often before a
+        cap has interfered."""
+        rng = random.Random(seed)
+        cfg = SystemConfig(quantale=quantale, max_rules=3, n_constants=2, n_unary=1,
+                           n_binary=1, nontrivial_cbes=True, right_ground=seed % 4 == 0)
+        trs = random_system(rng, cfg)
+        bounds = OracleBounds(max_nodes=max_nodes)
+        for t, s in ground_pairs(rng, trs, 2):
+            assert best_conversion_degree(trs, t, s, bounds) == \
+                reference_best_conversion_degree(trs, t, s, bounds), (trs.rules, t, s)
+
+    def test_budget_full_before_the_first_expansion(self, walks):
+        """With room for no more than the two start nodes, the first
+        expansion still walks every edge, as nothing is capped yet; the
+        other start node then has no known, unsettled node to walk toward."""
+        trs = parse(BUDGET_TEXT).trs
+        for max_nodes in (0, 1, 2):
+            walks.clear()
+            bounds = OracleBounds(max_nodes=max_nodes)
+            out = best_conversion_degree(trs, App("a"), App("d"), bounds)
+            assert out == reference_best_conversion_degree(trs, App("a"), App("d"), bounds)
+            assert out.capped and out.degree is None and not out.exhausted
+            assert walks == [(App("a"), False)]
+            assert (out.expanded, out.targets_built) == (2, 2)
+
+    def test_budget_fills_before_a_cap(self, walks):
+        """The expansion of a fills the budget of 4 exactly (a, b, c and d)
+        with nothing capped, so d still walks every edge and its target e
+        is the first one dropped; b then walks only toward c, the one
+        known, unsettled node of its side, and lowers c's degree to 1."""
+        trs = parse(BUDGET_TEXT).trs
+        bounds = OracleBounds(max_nodes=4)
+        out = best_conversion_degree(trs, App("a"), App("d"), bounds)
+        assert out == reference_best_conversion_degree(trs, App("a"), App("d"), bounds)
+        assert out.capped and out.degree is None and not out.exhausted
+        assert walks == [(App("a"), False), (App("d"), False), (App("b"), True)]
+        # b's reversed step back to a is not built
+        assert (out.expanded, out.targets_built) == (4, 4)
+        # with room for e, nothing is capped and every walk is whole
+        walks.clear()
+        out = best_conversion_degree(trs, App("a"), App("d"), OracleBounds(max_nodes=5))
+        assert out.exhausted and not any(restricted for _, restricted in walks)
+
+    def test_walk_toward_targets(self):
+        """Restricted to a set of targets, the walk keeps exactly the edges
+        of the whole walk that reach one of them, in the same order."""
+        rng = random.Random(63)
+        for trial in range(30):
+            cfg = SystemConfig(quantale=list(Quantale)[trial % 5], max_rules=3,
+                               n_constants=2, nontrivial_cbes=True,
+                               right_ground=trial % 3 == 0)
+            trs = random_system(rng, cfg)
+            consts = tuple(App(c) for c in trs.signature.constants())
+            edges = _conversion_edges(trs, consts)
+            for u, _ in ground_pairs(rng, trs, 3):
+                whole, _ = edges(u)
+                reached = list(dict.fromkeys(edge[0] for edge in whole))
+                targets = set(rng.sample(reached, len(reached) // 2))
+                targets |= {random_term(rng, trs.signature, [], 2) for _ in range(3)}
+                targets.discard(u)
+                toward: dict = {}
+                for w in targets:
+                    for context, sub in _contexts(w):
+                        toward.setdefault(context, {})[sub] = w
+                kept, _ = edges(u, toward)
+                assert kept == [edge for edge in whole if edge[0] in targets]
 
 
 class TestVerify:
