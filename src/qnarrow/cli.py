@@ -1,8 +1,8 @@
 """Command-line driver for rule files.
 
 Exit codes: 0 solutions found / checks pass, 1 nothing found or a check
-refuted, 2 usage, parse or input errors (terms nested too deep and degrees
-too large to represent included).
+refuted, 2 usage, parse or input errors (terms nested too deep, over-long
+number literals and degrees too large to represent included).
 """
 
 from __future__ import annotations

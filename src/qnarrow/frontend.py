@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .quantale import (
@@ -28,12 +27,13 @@ from .quantale import (
     Cbe,
     CbePow,
     CbeScale,
-    CbeError,
     Quantale,
+    QuantaleError,
     QuantaleValue,
     cbe_admissible,
+    read_number,
 )
-from .rewrite import GradedTrs, RewriteRule, TrsReport
+from .rewrite import GradedTrs, RewriteRule, TrsError, TrsReport
 from .narrow import BqTraceStep, Solution
 from .term import (
     App,
@@ -42,7 +42,6 @@ from .term import (
     Term,
     Var,
     position_to_str,
-    vars_of,
 )
 
 _QUANTALE_NAMES = {q.value: q for q in Quantale}
@@ -152,6 +151,21 @@ class _LineParser:
             self.i == len(self.tokens) - 1 and self.tokens[self.i].text == ";")
 
 
+def _quote(text: str) -> str:
+    """A token quoted, or past 40 characters named by its length."""
+    return repr(text) if len(text) <= 40 else f"<{len(text)} characters>"
+
+
+def _whole_number(lp: _LineParser, tok: _Token, what: str, limit: int) -> int:
+    """A whole-number token at most limit, its digits counted before it is read."""
+    if tok.kind != "number" or "/" in tok.text:
+        lp.error(f"{what} must be a whole number, found {_quote(tok.text)}", tok)
+    value = read_number(tok.text, what) if len(tok.text.lstrip("0")) <= len(str(limit)) else None
+    if value is None or value > limit:
+        lp.error(f"{what} exceeds the limit of {limit}", tok)
+    return int(value)
+
+
 class _Parser:
     def __init__(self, filename: str):
         self.filename = filename
@@ -233,13 +247,7 @@ class _Parser:
             lp.error(f"{name!r} already declared", tok)
         lp.expect("/")
         arity_tok = lp.next("an arity")
-        if arity_tok.kind != "number" or "/" in arity_tok.text:
-            lp.error(f"expected an arity, found {arity_tok.text!r}", arity_tok)
-        # lengths first: int() refuses a string of more than 4,300 digits
-        digits = arity_tok.text.lstrip("0") or "0"
-        if len(digits) > len(str(MAX_ARITY)) or int(digits) > MAX_ARITY:
-            lp.error(f"arity exceeds the limit of {MAX_ARITY}", arity_tok)
-        arity = int(digits)
+        arity = _whole_number(lp, arity_tok, "arity", MAX_ARITY)
         cbes: tuple[Cbe, ...]
         if lp.at_end():
             cbes = (CBE_ID,) * arity
@@ -268,21 +276,12 @@ class _Parser:
         if tok.text in ("scale", "pow"):
             lp.expect("(")
             arg = lp.next("a number")
-            if arg.kind != "number":
-                lp.error(f"expected a number, found {arg.text!r}", arg)
             lp.expect(")")
-            if tok.text == "pow":
-                if "/" in arg.text:
-                    lp.error(f"pow exponent must be a whole number, found {arg.text!r}", arg)
-                # lengths first: int() refuses a string of more than 4,300 digits
-                if len(arg.text.lstrip("0")) > len(str(MAX_POW)) or int(arg.text) > MAX_POW:
-                    lp.error(f"pow exponent exceeds the limit of {MAX_POW}", arg)
             try:
-                cbe = (CbeScale(Fraction(arg.text)) if tok.text == "scale"
-                       else CbePow(int(arg.text)))
-            except ZeroDivisionError:
-                lp.error(f"scale factor {arg.text!r} has a zero denominator", arg)
-            except (CbeError, ValueError) as exc:
+                cbe = (CbePow(_whole_number(lp, arg, "pow exponent", MAX_POW))
+                       if tok.text == "pow"
+                       else CbeScale(read_number(arg.text, f"scale factor {_quote(arg.text)}")))
+            except QuantaleError as exc:
                 lp.error(str(exc), arg)
             if not cbe_admissible(quantale, cbe):
                 lp.error(f"CBE {tok.text!r} is not admitted by {quantale.value}", tok)
@@ -292,8 +291,6 @@ class _Parser:
 
     def _parse_degree(self, lp: _LineParser, quantale: Quantale) -> QuantaleValue:
         tok = lp.next("a degree")
-        if tok.kind not in ("number", "name"):
-            lp.error(f"expected a degree, found {tok.text!r}", tok)
         try:
             return quantale.parse_degree(tok.text)
         except CarrierError as exc:
@@ -340,13 +337,10 @@ class _Parser:
         lhs = self._parse_term(lp)
         lp.expect("->")
         rhs = self._parse_term(lp)
-        if isinstance(lhs, Var):
-            lp.error("rule left-hand side must not be a variable", head)
-        extra = vars_of(rhs) - vars_of(lhs)
-        if extra:
-            names = ", ".join(sorted(str(x) for x in extra))
-            lp.error(f"right-hand side introduces variables: {names}", head)
-        self.rules.append(RewriteRule(degree, lhs, rhs))
+        try:
+            self.rules.append(RewriteRule(degree, lhs, rhs))
+        except TrsError as exc:
+            lp.error(str(exc), head)
 
     def _parse_solve(self, lp: _LineParser):
         quantale = self._need_quantale(lp)

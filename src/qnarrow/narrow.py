@@ -89,7 +89,9 @@ class NarrowStep:
 
 
 def narrowing_steps(trs: GradedTrs, t: Term, counter: FreshCounter) -> list[NarrowStep]:
-    """All narrowing steps from t, using rule variants fresh per candidate."""
+    """All narrowing steps from t (TrsError unless t fits the signature),
+    using rule variants fresh per candidate."""
+    check_terms(trs.signature, (t,), "term")
     steps = []
     for p, sub, grade in graded_subterms(trs.signature, t):
         for i, rule in enumerate(trs.rules):
@@ -163,7 +165,9 @@ class NarrowingDerivation:
 def derivations(trs: GradedTrs, t: Term, max_steps: int,
                 basic_only: bool = False) -> Iterator[NarrowingDerivation]:
     """Every narrowing derivation from t of length at most max_steps,
-    including the empty one; basic_only restricts steps to basic positions."""
+    including the empty one; basic_only restricts steps to basic positions.
+    A t that does not fit the signature raises TrsError at the call."""
+    check_terms(trs.signature, (t,), "start term")
     counter = FreshCounter(
         max_var_index([t] + [s for r in trs.rules for s in (r.lhs, r.rhs)]) + 1)
 
@@ -177,7 +181,7 @@ def derivations(trs: GradedTrs, t: Term, max_steps: int,
                 continue
             yield from walk(deriv.extended(step))
 
-    yield from walk(NarrowingDerivation(t))
+    return walk(NarrowingDerivation(t))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .quantale import (
     q_geq,
     q_tensor,
 )
-from .rewrite import GradedTrs, RewriteRule, check_trs
+from .rewrite import GradedTrs, RewriteRule, check_terms, check_trs
 from .narrow import narrowing_solutions
 from .term import (
     App,
@@ -336,7 +336,8 @@ def best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
                            bounds: OracleBounds = OracleBounds(),
                            instantiation_pool: Optional[Iterable[Term]] = None
                            ) -> ConversionOutcome:
-    """Greatest accumulated tensor degree over conversion paths from t to s.
+    """Greatest accumulated tensor degree over conversion paths from t to s,
+    two ground terms that fit the system's signature (else TrsError).
 
     Bidirectional best-first search from both endpoints over the symmetric
     rewrite graph.  Expansion by the quantale order is admissible because
@@ -375,6 +376,7 @@ def best_conversion_degree(trs: GradedTrs, t: Term, s: Term,
     size of those nodes, so an expansion does not pay for every open node
     as a walk of u against each of them would.
     """
+    check_terms(trs.signature, (t, s), "conversion problem")
     if not is_ground(t) or not is_ground(s):
         raise OracleError("oracle works on ground terms")
     if instantiation_pool is None:
@@ -538,9 +540,13 @@ def verify_solution(trs: GradedTrs, t: Term, s: Term,
     Note the direction: degree statements are downward closed in the
     quantale order, so claiming a degree *worse* than the best conversion
     is still true; only a claim strictly better than a proven-optimal best
-    (or a claim about inconvertible terms) can be refuted.
+    (or a claim about inconvertible terms) can be refuted.  TrsError unless
+    the instantiated terms fit the signature; OracleError if max_groundings < 0.
     """
+    if max_groundings < 0:
+        raise OracleError(f"max_groundings must be non-negative, got {max_groundings}")
     left, right = subst.apply(t), subst.apply(s)
+    check_terms(trs.signature, (left, right), "instantiated problem")
     free = sorted(vars_of(left) | vars_of(right), key=lambda v: (v.name, v.index))
     if pool is None:
         pool = tuple(App(c) for c in trs.signature.constants())
@@ -579,7 +585,9 @@ def enumerate_best_unifiers(trs: GradedTrs, t: Term, s: Term,
                             bounds: OracleBounds = OracleBounds()
                             ) -> list[tuple[Substitution, QuantaleValue]]:
     """Exhaust substitutions of the problem variables into a ground pool and
-    rank them by their best conversion degree, best first."""
+    rank them by their best conversion degree, best first.  Both terms must
+    fit the system's signature, or TrsError is raised."""
+    check_terms(trs.signature, (t, s), "problem term")
     pool = tuple(pool)
     free = sorted(vars_of(t) | vars_of(s), key=lambda v: (v.name, v.index))
     ranked = []

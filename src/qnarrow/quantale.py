@@ -50,7 +50,25 @@ Extended = Union[Fraction, _Infinity]
 # The most bits a degree's numerator or denominator may take: at most 4,215
 # decimal digits, within the 4,300 digits Python converts to a string, so
 # every degree can be printed.  Nested pow grades reach past it quickly.
+# read_number bounds the numerator and denominator of a number literal by
+# the digits of the largest number of that many bits (4,215).
 MAX_DEGREE_BITS = 14_000
+MAX_LITERAL_DIGITS = len(str(2 ** MAX_DEGREE_BITS - 1))
+
+
+def read_number(text: str, what: str) -> Fraction:
+    """The exact value of digits or digits/digits.  CarrierError, naming the
+    number as `what` but never repeating it, rejects other text, a zero
+    denominator and a side longer than MAX_LITERAL_DIGITS, before int()."""
+    sides = text.split("/")
+    if len(sides) > 2 or not all(side.isdecimal() for side in sides):
+        raise CarrierError(f"{what} is not a number literal")
+    digits = [side.lstrip("0") for side in sides]
+    if any(len(side) > MAX_LITERAL_DIGITS for side in digits):
+        raise CarrierError(f"{what} has over {MAX_LITERAL_DIGITS} digits above or below its bar")
+    if len(digits) == 2 and not digits[1]:
+        raise CarrierError(f"{what} has a zero denominator")
+    return Fraction(*(int(side or "0") for side in digits))
 
 
 def _ext_le(a: Extended, b: Extended) -> bool:
@@ -98,10 +116,6 @@ class Quantale(Enum):
             if num.quantale is not self:
                 raise QuantaleMismatchError(f"value belongs to {num.quantale}")
             return num
-        if not isinstance(num, _Infinity):
-            num = Fraction(num)
-        if not self.contains(num):
-            raise CarrierError(f"{num} lies outside the carrier of {self.value}")
         return QuantaleValue(self, num)
 
     @property
@@ -124,15 +138,7 @@ class Quantale(Enum):
     def parse_degree(self, text: str) -> "QuantaleValue":
         """Parse a degree literal: a nonnegative integer, `p/q`, or `inf`."""
         text = text.strip()
-        if text == "inf":
-            if not self.reversed_order:
-                raise CarrierError(f"inf is not a {self.value} degree")
-            return QuantaleValue(self, INF)
-        try:
-            num = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CarrierError(f"bad degree literal {text!r}") from exc
-        return self.degree(num)
+        return QuantaleValue(self, INF if text == "inf" else text)
 
     def sort_key(self, v: "QuantaleValue"):
         """Key under which ascending sort lists degrees best-first."""
@@ -145,7 +151,8 @@ class Quantale(Enum):
 
 @dataclass(frozen=True, eq=False)
 class QuantaleValue:
-    """An element of a quantale: an exact rational or the infinity token.
+    """An element of a quantale: an exact rational (number text is read by
+    read_number) or the infinity token.
 
     The hash is computed once, with the value the generated dataclass hash
     would give; degrees key the search's memos and state tables."""
@@ -157,7 +164,7 @@ class QuantaleValue:
         num = self.num
         if not isinstance(num, _Infinity):
             if not isinstance(num, Fraction):
-                num = Fraction(num)
+                num = read_number(num, "degree") if isinstance(num, str) else Fraction(num)
                 object.__setattr__(self, "num", num)
             if (num.numerator.bit_length() > MAX_DEGREE_BITS
                     or num.denominator.bit_length() > MAX_DEGREE_BITS):
@@ -220,10 +227,8 @@ def q_geq(a: QuantaleValue, b: QuantaleValue) -> bool:
 
 def q_join(quantale: Quantale, vs: Iterable[QuantaleValue]) -> QuantaleValue:
     """Least upper bound; the empty join is the bottom element."""
-    vs = list(vs)
     result = quantale.bottom
     for v in vs:
-        _check_same(result, v)
         if q_leq(result, v):
             result = v
     return result
@@ -231,10 +236,8 @@ def q_join(quantale: Quantale, vs: Iterable[QuantaleValue]) -> QuantaleValue:
 
 def q_meet(quantale: Quantale, vs: Iterable[QuantaleValue]) -> QuantaleValue:
     """Greatest lower bound; the empty meet is the top element."""
-    vs = list(vs)
     result = quantale.top
     for v in vs:
-        _check_same(result, v)
         if q_leq(v, result):
             result = v
     return result

@@ -8,7 +8,7 @@ and can only move downward in the quantale order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
@@ -53,7 +53,7 @@ class RewriteRule:
 
     def __post_init__(self):
         if isinstance(self.lhs, Var):
-            raise TrsError(f"rule left-hand side is a variable: {self.lhs}")
+            raise TrsError(f"rule left-hand side must not be a variable: {self.lhs}")
         if not vars_of(self.rhs) <= vars_of(self.lhs):
             raise TrsError(f"rule introduces variables on the right: {self}")
 
@@ -71,27 +71,14 @@ class RuleAttributes:
 
 @dataclass(frozen=True)
 class TrsReport:
+    """The attributes of each rule, and of the system: those all rules have."""
+
     per_rule: tuple[RuleAttributes, ...]
     confluent_declared: bool
-
-    def _all(self, attr: str) -> bool:
-        return all(getattr(r, attr) for r in self.per_rule)
-
-    @property
-    def left_linear(self) -> bool:
-        return self._all("left_linear")
-
-    @property
-    def right_linear(self) -> bool:
-        return self._all("right_linear")
-
-    @property
-    def right_ground(self) -> bool:
-        return self._all("right_ground")
-
-    @property
-    def balanced(self) -> bool:
-        return self._all("balanced")
+    left_linear: bool
+    right_linear: bool
+    right_ground: bool
+    balanced: bool
 
 
 class GradedTrs:
@@ -160,7 +147,8 @@ def check_trs(trs: GradedTrs) -> TrsReport:
             right_ground=is_ground(rule.rhs),
             balanced=balanced,
         ))
-    return TrsReport(tuple(per_rule), trs.confluent)
+    system = (all(getattr(r, f.name) for r in per_rule) for f in fields(RuleAttributes))
+    return TrsReport(tuple(per_rule), trs.confluent, *system)
 
 
 def check_terms(signature: Signature, terms: Iterable[Term], where: str) -> None:
@@ -204,7 +192,9 @@ def rewrite_steps(trs: GradedTrs, s: Term) -> list[RewriteStep]:
 
     Only rules whose left side has the subterm's head symbol are tried,
     each on a fresh variant, so the fresh indices of the rule variables in
-    a step's `subst` are unspecified."""
+    a step's `subst` are unspecified.  s must fit the system's signature,
+    or TrsError is raised."""
+    check_terms(trs.signature, (s,), "term")
     rules_by_head = trs.rules_by_head
     counter = FreshCounter(max_var_index([s]) + 1)
     steps = []

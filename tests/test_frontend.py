@@ -23,12 +23,15 @@ from qnarrow.frontend import (
     render_trace,
 )
 from qnarrow.narrow import Solution, SolveResult
-from qnarrow.quantale import cbe_to_str
+from qnarrow.quantale import MAX_LITERAL_DIGITS, cbe_to_str
 from qnarrow.term import Position, position_from_str
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 PEANO_TEXT = (DEMOS / "peano.gtrs").read_text()
+
+# a number of 5,000 digits: more than int() converts from text
+LONG = "9" * 5000
 
 HUGE_POW_TEXT = ("quantale fuzzy-product\nfun a/0\nfun b/0\nfun f/1 : (pow(100000))\n"
                  "rule 1/3 : a -> b\nsolve f(a) =? f(b)\n")
@@ -235,13 +238,43 @@ class TestDiagnostics:
                            "pow exponent must be a whole number, found '1/2'")
         assert (err.line, err.col) == (2, 16)
 
+    @pytest.mark.parametrize("text, position", [
+        (f"quantale lawvere\nfun f/{LONG}\n", (2, 7)),
+        (f"quantale fuzzy-product\nfun f/1 : (pow({LONG}))\n", (2, 16)),
+        (f"quantale lawvere\nfun f/1 : (scale({LONG}/7))\n", (2, 18)),
+        (f"quantale lawvere\nfun f/1 : (scale(7/{LONG}))\n", (2, 18)),
+        (f"quantale lawvere\nfun a/0\nrule {LONG} : a -> a\n", (3, 6)),
+        (f"quantale lawvere\nfun a/0\nrule 1/{LONG} : a -> a\n", (3, 6)),
+        (f"quantale lawvere\nfun a/0\nsolve a =? a threshold {LONG}\n", (3, 24)),
+    ], ids=["arity", "pow", "scale-numerator", "scale-denominator", "degree-numerator",
+            "degree-denominator", "threshold"])
+    def test_long_literal(self, text, position):
+        """A number of 5,000 digits, past what int() converts, is an error at
+        that number with a short message that neither repeats the number nor
+        passes Python's advice on."""
+        with pytest.raises(GtrsError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == position
+        assert len(err.value.message) < 200, err.value.message
+        assert "set_int_max_str_digits" not in str(err.value)
+
+    def test_long_literal_check_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "longdegree.gtrs"
+        path.write_text(f"quantale lawvere\nfun a/0\nrule {LONG} : a -> a\n")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}:3:6: inadmissible degree: degree has over "
+                                f"{MAX_LITERAL_DIGITS} digits above or below its bar\n")
+
 
 # Pieces of the rule-file format for the parser fuzz test: keywords, names,
 # numbers (a zero denominator among them), punctuation and stray characters.
 FUZZ_WORDS = ("quantale", "var", "fun", "rule", "solve", "threshold", "inf", "true",
               *(q.value for q in Quantale), "id", "const", "scale", "pow",
               "a", "b", "f", "g", "x", "y", "Z", "S", "+", "*", "-")
-FUZZ_NUMBERS = ("0", "1", "2", "64", "65", "007", "1/2", "3/4", "1/0", "0/0")
+FUZZ_NUMBERS = ("0", "1", "2", "64", "65", "007", "1/2", "3/4", "1/0", "0/0",
+                LONG, f"1/{LONG}", f"{LONG}/0", "0" * 5000 + "1")
 FUZZ_PUNCTUATION = ("(", ")", ",", ":", ";", "/", "->", "=?", "#")
 FUZZ_STRAY = ("@", "!", "=", "\u00e9", "\t", "[")
 

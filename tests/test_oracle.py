@@ -599,6 +599,13 @@ class TestVerify:
         assert verdict.status == CONFIRMED
         assert len(verdict.checks) == 2
 
+    def test_negative_grounding_count_rejected(self, peano):
+        with pytest.raises(OracleError, match="max_groundings"):
+            verify_solution(peano, S(X), S(X), Substitution(), L.unit,
+                            pool=[Z], max_groundings=-1)
+        assert verify_solution(peano, S(X), S(X), Substitution(), L.unit,
+                               pool=[Z], max_groundings=0).status == INCONCLUSIVE
+
 
 class TestEnumerate:
     def test_cubic_ranking(self, cubic):

@@ -27,7 +27,8 @@ from qnarrow import (
     q_meet,
     q_tensor,
 )
-from qnarrow.quantale import MAX_DEGREE_BITS, CarrierError, CbeError, QuantaleMismatchError
+from qnarrow.quantale import (MAX_DEGREE_BITS, MAX_LITERAL_DIGITS, CarrierError, CbeError,
+                              QuantaleMismatchError, read_number)
 
 from conftest import random_cbe, random_value
 
@@ -59,6 +60,27 @@ class TestValues:
             FG.parse_degree("inf")
         with pytest.raises(CarrierError):
             L.parse_degree("banana")
+
+    def test_number_literals(self):
+        """One reader for number text: exact values, leading zeros ignored,
+        and short errors for long sides, zero denominators and other text."""
+        assert read_number("007", "n") == 7
+        assert read_number("6/04", "n") == Fraction(3, 2)
+        assert read_number("0" * 5000 + "1/2", "n") == Fraction(1, 2)
+        assert read_number("9" * MAX_LITERAL_DIGITS, "n") == 10 ** MAX_LITERAL_DIGITS - 1
+        assert len(str(2 ** MAX_DEGREE_BITS - 1)) == MAX_LITERAL_DIGITS
+        for text in ("9" * 5000, "1/" + "9" * 5000, "9" * (MAX_LITERAL_DIGITS + 1) + "/1",
+                     "1/0", "1/" + "0" * 5000, "", "1/", "/1", "1/2/3", "-1", "1.5", "x"):
+            with pytest.raises(CarrierError) as err:
+                read_number(text, "the number")
+            message = str(err.value)
+            assert message.startswith("the number ") and len(message) < 80, message
+        for build in (L.parse_degree, L.degree):
+            with pytest.raises(CarrierError) as err:
+                build("9" * 5000)
+            assert len(str(err.value)) < 200
+            assert "set_int_max_str_digits" not in str(err.value)
+        assert FG.degree("3/10") == FG.parse_degree("3/10") == FG.degree(Fraction(3, 10))
 
     def test_units_and_bounds(self):
         assert L.unit.num == 0 and L.top == L.unit and L.bottom.num is INF

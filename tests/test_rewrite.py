@@ -25,7 +25,9 @@ from qnarrow import (
 from qnarrow import CBE_ID, CbeScale, Var, match, parse_file, replace_at, solve, vars_of
 from qnarrow.quantale import QuantaleMismatchError
 from qnarrow.rewrite import RewriteStep, TrsError, check_terms
-from qnarrow.oracle import SystemConfig, random_system, random_term
+from qnarrow.narrow import derivations, narrowing_steps
+from qnarrow.oracle import (SystemConfig, best_conversion_degree, enumerate_best_unifiers,
+                            random_system, random_term, verify_solution)
 from qnarrow.term import (
     EQ_SYMBOL,
     TRUE_SYMBOL,
@@ -541,6 +543,32 @@ def test_threshold_from_another_quantale(search):
     trs = parse_file(str(DEMOS / "peano.gtrs")).trs
     with pytest.raises(QuantaleMismatchError):
         search(trs, Quantale.BOOL.unit)
+
+
+@pytest.mark.parametrize("term", [App("q"), App("S", (Z, Z))],
+                         ids=["undeclared-symbol", "wrong-argument-count"])
+@pytest.mark.parametrize("entry", [
+    lambda trs, t: rewrite_steps(trs, t),
+    lambda trs, t: innermost_rewrite_steps(trs, t),
+    lambda trs, t: narrowing_steps(trs, t, FreshCounter(1)),
+    lambda trs, t: derivations(trs, t, 1),
+    lambda trs, t: derivations(trs, t, 0),
+    lambda trs, t: best_conversion_degree(trs, t, Z),
+    lambda trs, t: verify_solution(trs, t, Z, Substitution(), trs.quantale.unit),
+    lambda trs, t: verify_solution(trs, X, Z, Substitution({X: t}), trs.quantale.unit),
+    lambda trs, t: verify_solution(trs, t, X, Substitution(), trs.quantale.unit, pool=()),
+    lambda trs, t: enumerate_best_unifiers(trs, t, Z, [Z]),
+    lambda trs, t: enumerate_best_unifiers(trs, t, X, ()),
+], ids=["rewrite_steps", "innermost_rewrite_steps", "narrowing_steps", "derivations",
+        "derivations-zero-steps", "best_conversion_degree", "verify_solution",
+        "verify_solution-substituted", "verify_solution-empty-pool",
+        "enumerate_best_unifiers", "enumerate_best_unifiers-empty-pool"])
+def test_entry_points_check_terms(entry, term):
+    """Every entry point meets a term outside the signature with TrsError at
+    the call, before any step, grounding or pool combination is tried."""
+    trs = parse_file(str(DEMOS / "peano.gtrs")).trs
+    with pytest.raises(TrsError):
+        entry(trs, term)
 
 
 class TestJoinable:
