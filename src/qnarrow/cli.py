@@ -22,6 +22,7 @@ from .frontend import (
     render_rewrite_trace,
     render_solution,
     render_trace,
+    _quote,
 )
 from .narrow import ORDERS, STRATEGIES, NarrowError, SolveResult, derivations, solve
 from .oracle import (
@@ -42,11 +43,16 @@ EXIT_USAGE = 2
 
 
 def _count(text: str) -> int:
-    """A non-negative integer option value (a search bound)."""
+    """A non-negative integer option value (a search bound).  As in the rule
+    file reader, its digits are counted before int() reads them: more digits
+    than sys.maxsize has make it invalid, and an invalid value too long to
+    quote is named by its length."""
     try:
+        if len(text.strip().lstrip("+-").lstrip("0")) > len(str(sys.maxsize)):
+            raise ValueError
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid count: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid count: {_quote(text)}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value

@@ -117,6 +117,11 @@ def _tokenize_line(text: str, line_no: int, filename: str) -> list[_Token]:
     return tokens
 
 
+def _quote(text: str) -> str:
+    """A token quoted, or past 40 characters named by its length."""
+    return repr(text) if len(text) <= 40 else f"<{len(text)} characters>"
+
+
 class _LineParser:
     def __init__(self, tokens: list[_Token], line_no: int, filename: str):
         self.tokens = tokens
@@ -142,18 +147,13 @@ class _LineParser:
     def expect(self, text: str) -> _Token:
         tok = self.next(expected=repr(text))
         if tok.text != text:
-            self.error(f"expected {text!r}, found {tok.text!r}", tok)
+            self.error(f"expected {text!r}, found {_quote(tok.text)}", tok)
         return tok
 
     def at_end(self) -> bool:
         # a trailing semicolon is tolerated on every line
         return self.i >= len(self.tokens) or (
             self.i == len(self.tokens) - 1 and self.tokens[self.i].text == ";")
-
-
-def _quote(text: str) -> str:
-    """A token quoted, or past 40 characters named by its length."""
-    return repr(text) if len(text) <= 40 else f"<{len(text)} characters>"
 
 
 def _whole_number(lp: _LineParser, tok: _Token, what: str, limit: int) -> int:
@@ -192,10 +192,10 @@ class _Parser:
                 "solve": self._parse_solve,
             }.get(head.text)
             if handler is None:
-                lp.error(f"unknown declaration {head.text!r}", head)
+                lp.error(f"unknown declaration {_quote(head.text)}", head)
             handler(lp)
             if not lp.at_end():
-                lp.error(f"trailing input {lp.peek().text!r}", lp.peek())
+                lp.error(f"trailing input {_quote(lp.peek().text)}", lp.peek())
         if self.quantale is None:
             raise GtrsError("missing quantale declaration", 1, 1, self.filename)
         signature = Signature(self.quantale, self.symbols)
@@ -216,7 +216,7 @@ class _Parser:
             parts.append(lp.next().text)
         name = "".join(parts)
         if name not in _QUANTALE_NAMES:
-            lp.error(f"unknown quantale {name!r} (expected one of "
+            lp.error(f"unknown quantale {_quote(name)} (expected one of "
                      f"{', '.join(sorted(_QUANTALE_NAMES))})")
         self.quantale = _QUANTALE_NAMES[name]
 
@@ -225,11 +225,11 @@ class _Parser:
         while not lp.at_end():
             tok = lp.next()
             if tok.kind != "name":
-                lp.error(f"expected a variable name, found {tok.text!r}", tok)
+                lp.error(f"expected a variable name, found {_quote(tok.text)}", tok)
             if tok.text in RESERVED_SYMBOLS:
-                lp.error(f"{tok.text!r} is reserved", tok)
+                lp.error(f"{_quote(tok.text)} is reserved", tok)
             if tok.text in self.variables or tok.text in self.symbols:
-                lp.error(f"{tok.text!r} already declared", tok)
+                lp.error(f"{_quote(tok.text)} already declared", tok)
             self.variables[tok.text] = Var(tok.text)
             any_seen = True
         if not any_seen:
@@ -239,12 +239,12 @@ class _Parser:
         quantale = self._need_quantale(lp)
         tok = lp.next("a function symbol")
         if tok.kind != "name":
-            lp.error(f"expected a function symbol, found {tok.text!r}", tok)
+            lp.error(f"expected a function symbol, found {_quote(tok.text)}", tok)
         name = tok.text
         if name in RESERVED_SYMBOLS:
-            lp.error(f"{name!r} is reserved", tok)
+            lp.error(f"{_quote(name)} is reserved", tok)
         if name in self.symbols or name in self.variables:
-            lp.error(f"{name!r} already declared", tok)
+            lp.error(f"{_quote(name)} already declared", tok)
         lp.expect("/")
         arity_tok = lp.next("an arity")
         arity = _whole_number(lp, arity_tok, "arity", MAX_ARITY)
@@ -262,7 +262,7 @@ class _Parser:
                     parsed.append(self._parse_cbe(lp, quantale))
             lp.expect(")")
             if len(parsed) != arity:
-                lp.error(f"arity mismatch: {name!r} declared /{arity} but "
+                lp.error(f"arity mismatch: {_quote(name)} declared /{arity} but "
                          f"{len(parsed)} argument CBEs given", tok)
             cbes = tuple(parsed)
         self.symbols[name] = cbes
@@ -287,7 +287,7 @@ class _Parser:
                 lp.error(f"CBE {tok.text!r} is not admitted by {quantale.value}", tok)
             return cbe
         lp.error(f"expected a CBE literal (id, const, scale(c), pow(n)), "
-                 f"found {tok.text!r}", tok)
+                 f"found {_quote(tok.text)}", tok)
 
     def _parse_degree(self, lp: _LineParser, quantale: Quantale) -> QuantaleValue:
         tok = lp.next("a degree")
@@ -301,16 +301,16 @@ class _Parser:
     def _parse_term(self, lp: _LineParser) -> Term:
         tok = lp.next("a term")
         if tok.kind == "eq" or tok.text in RESERVED_SYMBOLS:
-            lp.error(f"{tok.text!r} is reserved and cannot appear in terms", tok)
+            lp.error(f"{_quote(tok.text)} is reserved and cannot appear in terms", tok)
         if tok.kind != "name":
-            lp.error(f"expected a term, found {tok.text!r}", tok)
+            lp.error(f"expected a term, found {_quote(tok.text)}", tok)
         name = tok.text
         if name in self.variables:
             if lp.peek() and lp.peek().text == "(":
-                lp.error(f"variable {name!r} cannot take arguments", tok)
+                lp.error(f"variable {_quote(name)} cannot take arguments", tok)
             return self.variables[name]
         if name not in self.symbols:
-            lp.error(f"unknown symbol {name!r} (declare functions with 'fun' "
+            lp.error(f"unknown symbol {_quote(name)} (declare functions with 'fun' "
                      f"and variables with 'var')", tok)
         arity = len(self.symbols[name])
         args: list[Term] = []
@@ -323,7 +323,7 @@ class _Parser:
                     args.append(self._parse_term(lp))
             lp.expect(")")
         if len(args) != arity:
-            lp.error(f"arity mismatch: {name!r} takes {arity} arguments, "
+            lp.error(f"arity mismatch: {_quote(name)} takes {arity} arguments, "
                      f"got {len(args)}", tok)
         return App(name, tuple(args))
 
@@ -347,7 +347,7 @@ class _Parser:
         left = self._parse_term(lp)
         eq = lp.next("'=?'")
         if eq.kind != "eq":
-            lp.error(f"expected '=?', found {eq.text!r}", eq)
+            lp.error(f"expected '=?', found {_quote(eq.text)}", eq)
         right = self._parse_term(lp)
         threshold = None
         if lp.peek() and lp.peek().text == "threshold":
@@ -378,7 +378,7 @@ def _parse_standalone(pf: ProblemFile, text: str, many: bool) -> list[Term]:
         lp.next()
         terms.append(parser._parse_term(lp))
     if not lp.at_end():
-        lp.error(f"trailing input {lp.peek().text!r}", lp.peek())
+        lp.error(f"trailing input {_quote(lp.peek().text)}", lp.peek())
     return terms
 
 

@@ -28,8 +28,6 @@ from typing import Iterable, Optional
 from .quantale import (
     CBE_ID,
     Cbe,
-    CbePow,
-    CbeScale,
     CarrierError,
     Quantale,
     QuantaleValue,
@@ -632,13 +630,9 @@ _RULE_ATTEMPTS = 200
 
 
 def _random_cbe(rng: random.Random, cfg: SystemConfig) -> Cbe:
-    if not cfg.nontrivial_cbes or rng.random() < 0.7:
+    if not cfg.nontrivial_cbes or rng.random() < 0.7 or cfg.quantale._fragment is None:
         return CBE_ID
-    if cfg.quantale.reversed_order:
-        return CbeScale(rng.choice((2, 3)))
-    if cfg.quantale is Quantale.FUZZY_PRODUCT:
-        return CbePow(rng.choice((2, 3)))
-    return CBE_ID
+    return cfg.quantale._fragment(rng.choice((2, 3)))
 
 
 def random_signature(rng: random.Random, cfg: SystemConfig) -> Signature:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul
 from typing import Iterable, Union
 
 
@@ -80,6 +81,82 @@ def _ext_le(a: Extended, b: Extended) -> bool:
     return a <= b
 
 
+# ---------------------------------------------------------------------------
+# Change-of-base endomorphisms.
+#
+# A CBE is a quantale homomorphism applied to degrees by the surrounding
+# term context.  We work in a closed, finitely presented fragment per
+# quantale, which keeps equality of CBEs decidable:
+#
+#   Lawvere, Lawvere-max:  const, scale(c) with c a nonnegative rational
+#   Bool, fuzzy-Godel:     id, const
+#   fuzzy-product:         const, pow(n) with n a positive natural
+#
+# Identity and the constant-to-unit map are admitted everywhere, and each
+# fragment is closed under composition and pointwise tensor.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Cbe:
+    """Base class of CBE expression trees."""
+
+
+@dataclass(frozen=True)
+class CbeId(Cbe):
+    pass
+
+
+@dataclass(frozen=True)
+class CbeConst(Cbe):
+    """The map sending every degree to the unit."""
+
+
+@dataclass(frozen=True)
+class CbeScale(Cbe):
+    """Multiplication by a nonnegative rational (Lawvere carriers only)."""
+
+    factor: Fraction
+    _keyword = "scale"
+
+    def __post_init__(self):
+        object.__setattr__(self, "factor", Fraction(self.factor))
+        if self.factor < 0:
+            raise CbeError("scale factor must be nonnegative")
+
+
+@dataclass(frozen=True)
+class CbePow(Cbe):
+    """Raising to a positive natural power (fuzzy-product only)."""
+
+    exponent: int
+    _keyword = "pow"
+
+    def __post_init__(self):
+        if not isinstance(self.exponent, int) or self.exponent < 1:
+            raise CbeError("pow exponent must be a natural number >= 1")
+
+
+@dataclass(frozen=True)
+class CbeCompose(Cbe):
+    outer: Cbe
+    inner: Cbe
+
+
+@dataclass(frozen=True)
+class CbeTensor(Cbe):
+    left: Cbe
+    right: Cbe
+
+
+CBE_ID = CbeId()
+CBE_CONST = CbeConst()
+
+
+def _in_unit_interval(x: Extended) -> bool:
+    return x is not INF and x <= 1
+
+
 class Quantale(Enum):
     """The concrete Lawverean quantales supported by the library.
 
@@ -87,28 +164,30 @@ class Quantale(Enum):
     ordered.  The Lawvere family carries [0, inf] with the *reversed* numeric
     order (smaller numbers are higher in the quantale order); the fuzzy
     family carries [0, 1] with the usual order; Bool is the two-point chain.
+
+    Each member carries its row: its name (the enum value), whether its
+    order reverses the numeric one, its carrier (a test on numbers >= 0 and
+    inf), its tensor on finite numbers, its unit and bottom, the CBE
+    constructor its fragment admits besides id and const, and how the
+    pointwise CBE tensor combines coefficients.
     """
 
-    BOOL = "bool"
-    LAWVERE = "lawvere"
-    LAWVERE_MAX = "lawvere-max"
-    FUZZY_GODEL = "fuzzy-godel"
-    FUZZY_PRODUCT = "fuzzy-product"
+    # (name, reversed order, carrier, tensor, unit, bottom, fragment, CBE tensor)
+    BOOL = ("bool", False, lambda x: x in (0, 1), min, 1, 0, None, max)
+    LAWVERE = ("lawvere", True, lambda x: True, add, 0, INF, CbeScale, add)
+    LAWVERE_MAX = ("lawvere-max", True, lambda x: True, max, 0, INF, CbeScale, max)
+    FUZZY_GODEL = ("fuzzy-godel", False, _in_unit_interval, min, 1, 0, None, max)
+    FUZZY_PRODUCT = ("fuzzy-product", False, _in_unit_interval, mul, 1, 0, CbePow, add)
 
-    @property
-    def reversed_order(self) -> bool:
-        return self in (Quantale.LAWVERE, Quantale.LAWVERE_MAX)
+    def __new__(cls, value, *row):
+        member = object.__new__(cls)
+        member._value_ = value
+        (member.reversed_order, member._carrier, member._tensor, member.unit,
+         member.bottom, member._fragment, member._cbe_tensor) = row
+        return member
 
     def contains(self, num: Extended) -> bool:
-        if num is INF:
-            return self.reversed_order
-        if not isinstance(num, Fraction) or num < 0:
-            return False
-        if self is Quantale.BOOL:
-            return num in (0, 1)
-        if self.reversed_order:
-            return True
-        return num <= 1
+        return (num is INF or isinstance(num, Fraction) and num >= 0) and self._carrier(num)
 
     def degree(self, num) -> "QuantaleValue":
         """Build a degree value, checking the carrier."""
@@ -117,23 +196,6 @@ class Quantale(Enum):
                 raise QuantaleMismatchError(f"value belongs to {num.quantale}")
             return num
         return QuantaleValue(self, num)
-
-    @property
-    def unit(self) -> "QuantaleValue":
-        if self.reversed_order:
-            return QuantaleValue(self, Fraction(0))
-        return QuantaleValue(self, Fraction(1))
-
-    @property
-    def top(self) -> "QuantaleValue":
-        # Integral: the unit is the top.
-        return self.unit
-
-    @property
-    def bottom(self) -> "QuantaleValue":
-        if self.reversed_order:
-            return QuantaleValue(self, INF)
-        return QuantaleValue(self, Fraction(0))
 
     def parse_degree(self, text: str) -> "QuantaleValue":
         """Parse a degree literal: a nonnegative integer, `p/q`, or `inf`."""
@@ -144,9 +206,7 @@ class Quantale(Enum):
         """Key under which ascending sort lists degrees best-first."""
         if v.num is INF:
             return (1, Fraction(0))
-        if self.reversed_order:
-            return (0, v.num)
-        return (0, -v.num)
+        return (0, v.num if self.reversed_order else -v.num)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,6 +249,13 @@ class QuantaleValue:
         return "inf" if self.num is INF else str(self.num)
 
 
+for _q in Quantale:
+    # The row's numbers become degrees, built once and shared: degrees are
+    # immutable.  Integral: the unit is the top.
+    _q.unit = _q.top = QuantaleValue(_q, _q.unit)
+    _q.bottom = QuantaleValue(_q, _q.bottom)
+
+
 def _check_same(a: QuantaleValue, b: QuantaleValue) -> Quantale:
     if a.quantale is not b.quantale:
         raise QuantaleMismatchError(f"mixed quantales {a.quantale} and {b.quantale}")
@@ -196,21 +263,11 @@ def _check_same(a: QuantaleValue, b: QuantaleValue) -> Quantale:
 
 
 def q_tensor(a: QuantaleValue, b: QuantaleValue) -> QuantaleValue:
-    """The monoid multiplication of the quantale."""
+    """The monoid multiplication of the quantale; the bottom absorbs."""
     q = _check_same(a, b)
-    x, y = a.num, b.num
-    if q is Quantale.LAWVERE:
-        num = INF if (x is INF or y is INF) else x + y
-    elif q is Quantale.LAWVERE_MAX:
-        if x is INF or y is INF:
-            num = INF
-        else:
-            num = max(x, y)
-    elif q is Quantale.FUZZY_PRODUCT:
-        num = x * y
-    else:  # BOOL and FUZZY_GODEL both take the minimum
-        num = min(x, y)
-    return QuantaleValue(q, num)
+    if a.num is INF or b.num is INF:
+        return q.bottom
+    return QuantaleValue(q, q._tensor(a.num, b.num))
 
 
 def q_leq(a: QuantaleValue, b: QuantaleValue) -> bool:
@@ -243,119 +300,44 @@ def q_meet(quantale: Quantale, vs: Iterable[QuantaleValue]) -> QuantaleValue:
     return result
 
 
-# ---------------------------------------------------------------------------
-# Change-of-base endomorphisms.
-#
-# A CBE is a quantale homomorphism applied to degrees by the surrounding
-# term context.  We work in a closed, finitely presented fragment per
-# quantale, which keeps equality of CBEs decidable:
-#
-#   Lawvere, Lawvere-max:  const, scale(c) with c a nonnegative rational
-#   Bool, fuzzy-Godel:     id, const
-#   fuzzy-product:         const, pow(n) with n a positive natural
-#
-# Identity and the constant-to-unit map are admitted everywhere, and each
-# fragment is closed under composition and pointwise tensor.
-# ---------------------------------------------------------------------------
+def _admitted(quantale: Quantale, f: Cbe) -> Cbe:
+    """f, a scale or pow, if it is the constructor the quantale's fragment
+    admits."""
+    if type(f) is not quantale._fragment:
+        raise CbeError(f"{f._keyword} is not a {quantale.value} CBE")
+    return f
 
 
-@dataclass(frozen=True)
-class Cbe:
-    """Base class of CBE expression trees."""
+def _coefficient(quantale: Quantale, f: Cbe):
+    """Fold a CBE tree to its fragment coefficient; CbeError if the fragment
+    does not admit a constructor in it.
 
-
-@dataclass(frozen=True)
-class CbeId(Cbe):
-    pass
-
-
-@dataclass(frozen=True)
-class CbeConst(Cbe):
-    """The map sending every degree to the unit."""
-
-
-@dataclass(frozen=True)
-class CbeScale(Cbe):
-    """Multiplication by a nonnegative rational (Lawvere carriers only)."""
-
-    factor: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "factor", Fraction(self.factor))
-        if self.factor < 0:
-            raise CbeError("scale factor must be nonnegative")
-
-
-@dataclass(frozen=True)
-class CbePow(Cbe):
-    """Raising to a positive natural power (fuzzy-product only)."""
-
-    exponent: int
-
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 1:
-            raise CbeError("pow exponent must be a natural number >= 1")
-
-
-@dataclass(frozen=True)
-class CbeCompose(Cbe):
-    outer: Cbe
-    inner: Cbe
-
-
-@dataclass(frozen=True)
-class CbeTensor(Cbe):
-    left: Cbe
-    right: Cbe
-
-
-CBE_ID = CbeId()
-CBE_CONST = CbeConst()
+    Composition multiplies coefficients in every fragment; the pointwise
+    tensor combines them by the quantale's CBE tensor (add or max).
+    """
+    if isinstance(f, CbeId):
+        return 1
+    if isinstance(f, CbeConst):
+        return 0
+    if isinstance(f, CbeScale):
+        return _admitted(quantale, f).factor
+    if isinstance(f, CbePow):
+        return _admitted(quantale, f).exponent
+    if isinstance(f, CbeCompose):
+        return _coefficient(quantale, f.outer) * _coefficient(quantale, f.inner)
+    if isinstance(f, CbeTensor):
+        return quantale._cbe_tensor(_coefficient(quantale, f.left),
+                                   _coefficient(quantale, f.right))
+    raise TypeError(f"not a CBE: {f!r}")
 
 
 def cbe_admissible(quantale: Quantale, f: Cbe) -> bool:
     """Whether every constructor in f is admitted by the quantale."""
-    if isinstance(f, (CbeId, CbeConst)):
-        return True
-    if isinstance(f, CbeScale):
-        return quantale.reversed_order
-    if isinstance(f, CbePow):
-        return quantale is Quantale.FUZZY_PRODUCT
-    if isinstance(f, CbeCompose):
-        return cbe_admissible(quantale, f.outer) and cbe_admissible(quantale, f.inner)
-    if isinstance(f, CbeTensor):
-        return cbe_admissible(quantale, f.left) and cbe_admissible(quantale, f.right)
-    raise TypeError(f"not a CBE: {f!r}")
-
-
-def _coefficient(quantale: Quantale, f: Cbe):
-    """Fold a CBE tree to its fragment coefficient.
-
-    Composition multiplies coefficients in every fragment; the pointwise
-    tensor adds them (Lawvere, fuzzy-product) or takes their maximum
-    (Lawvere-max, Bool, fuzzy-Godel).
-    """
-    if isinstance(f, CbeId):
-        return 1 if quantale is Quantale.FUZZY_PRODUCT else Fraction(1)
-    if isinstance(f, CbeConst):
-        return 0 if quantale is Quantale.FUZZY_PRODUCT else Fraction(0)
-    if isinstance(f, CbeScale):
-        if not quantale.reversed_order:
-            raise CbeError(f"scale is not a {quantale.value} CBE")
-        return f.factor
-    if isinstance(f, CbePow):
-        if quantale is not Quantale.FUZZY_PRODUCT:
-            raise CbeError(f"pow is not a {quantale.value} CBE")
-        return f.exponent
-    if isinstance(f, CbeCompose):
-        return _coefficient(quantale, f.outer) * _coefficient(quantale, f.inner)
-    if isinstance(f, CbeTensor):
-        a = _coefficient(quantale, f.left)
-        b = _coefficient(quantale, f.right)
-        if quantale in (Quantale.LAWVERE, Quantale.FUZZY_PRODUCT):
-            return a + b
-        return max(a, b)
-    raise TypeError(f"not a CBE: {f!r}")
+    try:
+        _coefficient(quantale, f)
+    except CbeError:
+        return False
+    return True
 
 
 @lru_cache(maxsize=8192)
@@ -364,11 +346,7 @@ def cbe_normalize(quantale: Quantale, f: Cbe) -> Cbe:
     c = _coefficient(quantale, f)
     if c == 0:
         return CBE_CONST
-    if quantale.reversed_order:
-        return CbeScale(Fraction(c))
-    if quantale is Quantale.FUZZY_PRODUCT:
-        return CbePow(int(c))
-    return CBE_ID
+    return quantale._fragment(c) if quantale._fragment else CBE_ID
 
 
 def cbe_equal(quantale: Quantale, f: Cbe, g: Cbe) -> bool:
@@ -397,8 +375,7 @@ def cbe_apply(f: Cbe, a: QuantaleValue) -> QuantaleValue:
     if isinstance(f, CbeConst):
         return q.unit
     if isinstance(f, CbeScale):
-        if not q.reversed_order:
-            raise CbeError(f"scale is not a {q.value} CBE")
+        _admitted(q, f)
         if a.num is INF:
             # 0 * inf is 0 here: scale(0) is the constant-to-unit map.
             num = Fraction(0) if f.factor == 0 else INF
@@ -406,8 +383,7 @@ def cbe_apply(f: Cbe, a: QuantaleValue) -> QuantaleValue:
             num = f.factor * a.num
         return QuantaleValue(q, num)
     if isinstance(f, CbePow):
-        if q is not Quantale.FUZZY_PRODUCT:
-            raise CbeError(f"pow is not a {q.value} CBE")
+        _admitted(q, f)
         # x ** n has more than n * (bits of x - 1) bits: refuse before computing
         bits = max(a.num.numerator.bit_length(), a.num.denominator.bit_length())
         if f.exponent * (bits - 1) >= MAX_DEGREE_BITS:

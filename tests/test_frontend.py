@@ -32,6 +32,7 @@ PEANO_TEXT = (DEMOS / "peano.gtrs").read_text()
 
 # a number of 5,000 digits: more than int() converts from text
 LONG = "9" * 5000
+NAME = "n" * 5000
 
 HUGE_POW_TEXT = ("quantale fuzzy-product\nfun a/0\nfun b/0\nfun f/1 : (pow(100000))\n"
                  "rule 1/3 : a -> b\nsolve f(a) =? f(b)\n")
@@ -266,6 +267,51 @@ class TestDiagnostics:
         assert captured.out == ""
         assert captured.err == (f"error: {path}:3:6: inadmissible degree: degree has over "
                                 f"{MAX_LITERAL_DIGITS} digits above or below its bar\n")
+
+    @pytest.mark.parametrize("text", [
+        f"quantale lawvere\nfun a/0\nsolve a =? a {LONG}\n",
+        f"quantale lawvere\nfun a/0\nsolve {NAME} =? a\n",
+        f"{NAME}\n",
+        f"quantale lawvere\nfun a/0\nsolve {LONG} =? a\n",
+        f"quantale lawvere\nvar {LONG}\n",
+        f"quantale lawvere\nfun {LONG}\n",
+        f"quantale lawvere\nfun f/1 : ({NAME})\n",
+        f"quantale lawvere\nfun a/0\nsolve a {NAME} a\n",
+        f"quantale lawvere\nfun f {NAME}\n",
+        f"quantale lawvere\nvar {NAME} {NAME}\n",
+        f"quantale lawvere\nvar {NAME}\nfun {NAME}/0\n",
+        f"quantale {NAME}\n",
+        f"quantale lawvere\nvar {NAME}\nfun a/0\nsolve {NAME}(a) =? a\n",
+        f"quantale lawvere\nfun {NAME}/1\nfun a/0\nsolve {NAME} =? a\n",
+        f"quantale lawvere\nfun {NAME}/2 : (id)\n",
+    ], ids=["trailing-input", "unknown-symbol", "unknown-declaration", "expected-term",
+            "expected-variable", "expected-function", "expected-cbe", "expected-eq",
+            "expected-token", "already-declared-var", "already-declared-fun",
+            "unknown-quantale", "variable-arguments", "arity-mismatch-term",
+            "arity-mismatch-cbes"])
+    def test_long_token(self, text):
+        """A 5,000-character token is named by its length, never repeated."""
+        with pytest.raises(GtrsError) as err:
+            parse(text)
+        assert "<5000 characters>" in err.value.message
+        assert len(str(err.value)) < 200, str(err.value)
+
+    def test_long_token_in_standalone_term(self):
+        pf = parse("quantale lawvere\nfun a/0\n")
+        with pytest.raises(GtrsError) as err:
+            parse_term_text(pf, f"a {NAME}")
+        assert len(str(err.value)) < 200
+        assert err.value.message == "trailing input <5000 characters>"
+
+    def test_long_count_exits_two(self, capsys):
+        """A 5,000-digit search bound is a usage error whose message names it
+        by its length; argparse's usage text precedes that message."""
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(DEMOS / "peano.gtrs"), "--max-steps", LONG])
+        assert exc.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.endswith("--max-steps: invalid count: <5000 characters>")
+        assert len(message.encode()) < 200
 
 
 # Pieces of the rule-file format for the parser fuzz test: keywords, names,

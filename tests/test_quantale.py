@@ -28,7 +28,7 @@ from qnarrow import (
     q_tensor,
 )
 from qnarrow.quantale import (MAX_DEGREE_BITS, MAX_LITERAL_DIGITS, CarrierError, CbeError,
-                              QuantaleMismatchError, read_number)
+                              QuantaleMismatchError, cbe_admissible, read_number)
 
 from conftest import random_cbe, random_value
 
@@ -185,6 +185,24 @@ class TestCbe:
             CbeScale(-1)
         with pytest.raises(CbeError):
             CbePow(0)
+
+        def raises_cbe_error(call):
+            try:
+                call()
+            except CbeError:
+                return True
+            return False
+
+        # one walk decides admissibility; normalization and evaluation agree
+        for q in Quantale:
+            fragment = {L: CbeScale, LM: CbeScale, FP: CbePow}.get(q)
+            for base in (CBE_ID, CBE_CONST, CbeScale(2), CbePow(2)):
+                for f in (base, CbeCompose(base, CBE_ID), CbeCompose(CBE_ID, base),
+                          CbeTensor(base, CBE_ID), CbeTensor(CBE_ID, base)):
+                    admitted = cbe_admissible(q, f)
+                    assert admitted == (base in (CBE_ID, CBE_CONST) or type(base) is fragment)
+                    assert admitted == (not raises_cbe_error(lambda: cbe_normalize(q, f))
+                                        and not raises_cbe_error(lambda: cbe_apply(f, q.unit)))
 
     def test_compose_examples(self):
         assert cbe_compose(L, CbeScale(2), CbeScale(3)) == CbeScale(6)
