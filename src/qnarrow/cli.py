@@ -43,12 +43,14 @@ EXIT_USAGE = 2
 
 
 def _count(text: str) -> int:
-    """A non-negative integer option value (a search bound).  As in the rule
-    file reader, its digits are counted before int() reads them: more digits
-    than sys.maxsize has make it invalid, and an invalid value too long to
-    quote is named by its length."""
+    """A non-negative integer option value (a search bound), in ASCII
+    digits.  As in the rule file reader, its digits are counted before int()
+    reads them: more digits than sys.maxsize has make it invalid, and an
+    invalid value too long to quote is named by its length."""
     try:
-        if len(text.strip().lstrip("+-").lstrip("0")) > len(str(sys.maxsize)):
+        digits = text.strip().lstrip("+-")
+        if not (digits.isascii() and digits.isdecimal()) or \
+                len(digits.lstrip("0")) > len(str(sys.maxsize)):
             raise ValueError
         value = int(text)
     except ValueError:

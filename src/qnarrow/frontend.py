@@ -84,7 +84,7 @@ _TOKEN_RE = re.compile(
       | (?P<comment>\#.*)
       | (?P<arrow>->)
       | (?P<eq>=\?)
-      | (?P<number>\d+(?:/\d+)?)
+      | (?P<number>[0-9]+(?:/[0-9]+)?)
       | (?P<name>[A-Za-z_][A-Za-z0-9_]*|[+*-])
       | (?P<punct>[(),:;/])
     """,

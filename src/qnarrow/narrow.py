@@ -51,6 +51,7 @@ from .term import (
     fun_positions,
     grade_of_position,
     graded_subterms,
+    instantiate,
     is_prefix,
     max_var_index,
     replace_at,
@@ -273,24 +274,19 @@ def bq_step(cfg: BqConfig, trs: GradedTrs,
 # ---------------------------------------------------------------------------
 
 
-class _Canon:
-    def __init__(self):
-        self.renaming: dict[Var, Var] = {}
-
-    def term(self, t: Term) -> Term:
-        if isinstance(t, Var):
-            if t.index == 0:
-                return t
-            if t not in self.renaming:
-                self.renaming[t] = Var("?", len(self.renaming) + 1)
-            return self.renaming[t]
-        return App(t.symbol, tuple(self.term(a) for a in t.args))
-
-
 def canonical_subst(subst: Substitution) -> Substitution:
-    canon = _Canon()
+    renaming: dict[Var, Var] = {}
+
+    def image(x: Var) -> Optional[Var]:
+        if x.index == 0:
+            return None
+        v = renaming.get(x)
+        if v is None:
+            v = renaming[x] = Var("?", len(renaming) + 1)
+        return v
+
     items = sorted(subst.items(), key=lambda kv: (kv[0].name, kv[0].index))
-    return Substitution({x: canon.term(t) for x, t in items})
+    return Substitution({x: instantiate(t, image) for x, t in items})
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +590,8 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     starts; max_steps bounds the number of LP applications on a branch.
     The order picks the queued configuration expanded next: "bfs" the one
     with the fewest LP steps, "best-first" the one with the best degree, and
-    among equals the one queued first.  max_solutions=0 returns no solution.
+    among equals the one queued first.  max_solutions=0 returns no solution;
+    a negative bound raises NarrowError before the search starts.
     Configurations whose constraint set has no unifier are dropped the
     moment they arise (the clash rule cannot be outrun: constraint sets only
     grow).  Problem terms must use declared symbols with their declared
@@ -608,6 +605,10 @@ def solve(trs: GradedTrs, t: Term, s: Term,
         raise ValueError(f"unknown strategy {strategy!r}")
     if order not in ORDERS:
         raise ValueError(f"unknown order {order!r}")
+    for name, bound in (("max_steps", max_steps), ("max_solutions", max_solutions),
+                        ("max_configs", max_configs)):
+        if bound is not None and bound < 0:
+            raise NarrowError(f"{name} must be non-negative, got {bound}")
     if max_solutions == 0:
         return SolveResult([], False, "solution-limit")
 

@@ -46,6 +46,7 @@ from .term import (
     Substitution,
     Term,
     Var,
+    instantiate,
     is_ground,
     is_linear,
     replace_at,
@@ -129,14 +130,6 @@ def _match_env(pattern: Term, subject: Term) -> Optional[dict]:
             return None
         stack.extend(zip(p.args, s.args))
     return env
-
-
-def _apply_env(t: Term, env: dict) -> Term:
-    if isinstance(t, Var):
-        return env.get(t, t)
-    if not t.args:
-        return t
-    return App(t.symbol, tuple(_apply_env(a, env) for a in t.args))
 
 
 # Raw edge: (target, position, rule index, forward, degree, replaced
@@ -266,7 +259,7 @@ def _conversion_edges(trs: GradedTrs, pool: tuple[Term, ...]):
                         if degree is None:
                             incomplete = True
                         else:
-                            r = _apply_env(rule.rhs, env)
+                            r = instantiate(rule.rhs, env.get)
                             v = replace_at(u, p, r) if want is None else want.get(r)
                             if v is not None:
                                 out.append((v, p, i, True, degree, sub, r))
@@ -284,7 +277,7 @@ def _conversion_edges(trs: GradedTrs, pool: tuple[Term, ...]):
                         envs = ({**env, **dict(zip(unbound, filling))}
                                 for filling in itertools.product(pool, repeat=len(unbound)))
                     for filled in envs:
-                        r = _apply_env(rule.lhs, filled)
+                        r = instantiate(rule.lhs, filled.get)
                         v = replace_at(u, p, r) if want is None else want.get(r)
                         if v is not None:
                             out.append((v, p, i, False, degree, sub, r))

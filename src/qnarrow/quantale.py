@@ -58,11 +58,12 @@ MAX_LITERAL_DIGITS = len(str(2 ** MAX_DEGREE_BITS - 1))
 
 
 def read_number(text: str, what: str) -> Fraction:
-    """The exact value of digits or digits/digits.  CarrierError, naming the
-    number as `what` but never repeating it, rejects other text, a zero
-    denominator and a side longer than MAX_LITERAL_DIGITS, before int()."""
+    """The exact value of digits or digits/digits, in ASCII digits.
+    CarrierError, naming the number as `what` but never repeating it, rejects
+    other text, a zero denominator and a side longer than MAX_LITERAL_DIGITS,
+    before int()."""
     sides = text.split("/")
-    if len(sides) > 2 or not all(side.isdecimal() for side in sides):
+    if len(sides) > 2 or not text.isascii() or not all(side.isdecimal() for side in sides):
         raise CarrierError(f"{what} is not a number literal")
     digits = [side.lstrip("0") for side in sides]
     if any(len(side) > MAX_LITERAL_DIGITS for side in digits):

@@ -9,7 +9,7 @@ issued by a freshness counter, so variants never collide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .quantale import (
     CBE_CONST,
@@ -249,6 +249,18 @@ def replace_at(t: Term, p: Position, s: Term) -> Term:
     return App(t.symbol, tuple(args))
 
 
+def instantiate(t: Term, image: Callable[[Var], Optional[Term]]) -> Term:
+    """t with each variable x replaced by image(x), or kept where that is
+    None.  A subterm left unchanged is returned as it is, not rebuilt."""
+    if isinstance(t, Var):
+        out = image(t)
+        return t if out is None else out
+    if not t.args:
+        return t
+    args = tuple([instantiate(a, image) for a in t.args])
+    return t if args == t.args else App(t.symbol, args)
+
+
 def vars_of(t: Term) -> set[Var]:
     out: set[Var] = set()
     stack = [t]
@@ -375,14 +387,7 @@ class Substitution:
         return self._map.get(x, x)
 
     def apply(self, t: Term) -> Term:
-        if not self._map:
-            return t
-        if isinstance(t, Var):
-            return self._map.get(t, t)
-        new_args = tuple(self.apply(a) for a in t.args)
-        if all(n is o for n, o in zip(new_args, t.args)):
-            return t
-        return App(t.symbol, new_args)
+        return instantiate(t, self._map.get) if self._map else t
 
     def compose(self, other: "Substitution") -> "Substitution":
         """self then other; rejects compositions that break idempotency."""
@@ -442,20 +447,16 @@ class FreshCounter:
 
 def fresh_variant(terms, counter: FreshCounter):
     """Rename every variable of a term (or a sequence of terms, renamed
-    consistently) to a never-issued indexed variable."""
-    single = isinstance(terms, (Var, App))
-    group: Sequence[Term] = (terms,) if single else tuple(terms)
+    consistently) to a never-issued indexed variable, numbered in
+    left-to-right order of first occurrence."""
     renaming: dict[Var, Var] = {}
 
-    def rename(t: Term) -> Term:
-        if isinstance(t, Var):
-            v = renaming.get(t)
-            if v is None:
-                v = renaming[t] = Var(t.name, counter.next())
-            return v
-        if not t.args:
-            return t  # constants are shared, not rebuilt
-        return App(t.symbol, tuple([rename(a) for a in t.args]))
+    def image(x: Var) -> Var:
+        v = renaming.get(x)
+        if v is None:
+            v = renaming[x] = Var(x.name, counter.next())
+        return v
 
-    renamed = tuple(rename(t) for t in group)
-    return renamed[0] if single else renamed
+    if isinstance(terms, (Var, App)):
+        return instantiate(terms, image)
+    return tuple([instantiate(t, image) for t in terms])

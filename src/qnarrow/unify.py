@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .term import App, Substitution, Term, Var
+from .term import App, Substitution, Term, Var, instantiate
 
 Equation = tuple[Term, Term]
 EquationSet = Iterable[Equation]
@@ -37,17 +37,23 @@ class UnifyFailure:
         return f"{self.reason}: {self.left} vs {self.right}"
 
 
+def _resolver(bindings: Bindings):
+    """The image of triangular bindings for `instantiate`: each bound
+    variable's resolution, computed once and shared."""
+    done: dict = {}
+
+    def image(x: Var) -> Optional[Term]:
+        out = done.get(x)
+        if out is None and x in bindings:
+            out = done[x] = instantiate(bindings[x], image)
+        return out
+
+    return image
+
+
 def resolve(t: Term, bindings: Bindings) -> Term:
     """t with every bound variable replaced, transitively, by its binding."""
-    if isinstance(t, Var):
-        bound = bindings.get(t)
-        return t if bound is None else resolve(bound, bindings)
-    if not bindings or not t.args:
-        return t
-    new_args = tuple(resolve(a, bindings) for a in t.args)
-    if all(n is o for n, o in zip(new_args, t.args)):
-        return t
-    return App(t.symbol, new_args)
+    return instantiate(t, _resolver(bindings))
 
 
 def _occurs(x: Var, t: Term, bindings: Bindings) -> bool:
@@ -112,26 +118,10 @@ def _solve(work: list, bindings: Bindings) -> Optional[tuple[str, Term, Term]]:
 
 def resolve_all(bindings: Bindings) -> dict:
     """The idempotent map denoted by triangular bindings, keyed in the order
-    the bindings were made; each variable's resolution is computed once and
-    shared.  The map has no identity bindings, so it can be wrapped with
-    `Substitution.trusted`."""
-    done: dict = {}
-
-    def res(t: Term) -> Term:
-        if isinstance(t, Var):
-            out = done.get(t)
-            if out is None:
-                bound = bindings.get(t)
-                out = done[t] = t if bound is None else res(bound)
-            return out
-        if not t.args:
-            return t
-        new_args = tuple(res(a) for a in t.args)
-        if all(n is o for n, o in zip(new_args, t.args)):
-            return t
-        return App(t.symbol, new_args)
-
-    return {x: res(x) for x in bindings}
+    the bindings were made.  The map has no identity bindings, so it can be
+    wrapped with `Substitution.trusted`."""
+    image = _resolver(bindings)
+    return {x: image(x) for x in bindings}
 
 
 def mgu(equations: EquationSet) -> Union[Substitution, UnifyFailure]:

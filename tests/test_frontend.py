@@ -228,6 +228,24 @@ class TestDiagnostics:
         err = expect_error(HUGE_POW_TEXT, "pow exponent exceeds")
         assert (err.line, err.col) == (4, 16)
 
+    # each numeric slot of the rule-file format, with {} for its number
+    NUMERIC_SLOTS = {
+        "degree": "quantale lawvere\nfun a/0\nrule {} : a -> a\n",
+        "threshold": "quantale lawvere\nfun a/0\nsolve a =? a threshold {}\n",
+        "arity": "quantale lawvere\nfun f/{}\n",
+        "pow": "quantale fuzzy-product\nfun f/1 : (pow({}))\n",
+        "scale": "quantale lawvere\nfun f/1 : (scale({}))\n",
+    }
+
+    @pytest.mark.parametrize("slot", sorted(NUMERIC_SLOTS))
+    def test_numbers_are_ascii_digits(self, slot):
+        """A number is written in ASCII digits: the same text with an
+        Arabic-Indic or a fullwidth three is an error at that character."""
+        text = self.NUMERIC_SLOTS[slot]
+        assert parse(text.format("3"))
+        for digit in ("\u0663", "\uff13"):
+            expect_error(text.format(digit), f"unexpected character {digit!r}")
+
     def test_fractional_cbe_numbers(self):
         """A scale factor over zero and a fractional pow exponent are input
         errors at their number."""
@@ -649,6 +667,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: argument" in captured.err and "non-negative" in captured.err
+
+    @pytest.mark.parametrize("count", ["\u0663", "\uff13", "1_0"])
+    def test_count_is_ascii_digits(self, count, capsys):
+        """A search bound is written in ASCII digits alone: an Arabic-Indic
+        or fullwidth three and an underscore separator are usage errors."""
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(DEMOS / "peano.gtrs"), "--max-steps", count])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"--max-steps: invalid count: {count!r}")
 
     def test_oracle_non_ground_pool_exits_two(self, capsys):
         """The pool is checked when it is parsed, before any output."""

@@ -617,6 +617,17 @@ class TestSolve:
         assert result.solutions == []
         assert not result.complete and result.stopped == "solution-limit"
 
+    @pytest.mark.parametrize("bound", ["max_steps", "max_solutions", "max_configs"])
+    def test_negative_bound_rejected(self, bound):
+        """A negative search bound is an error raised before the search, not
+        a bound met at once: x =? a would still yield {x -> a}."""
+        pf = parse("quantale lawvere\nvar x\nfun a/0\nfun b/0\nrule 1 : a -> b\n"
+                   "solve x =? a\n")
+        problem = pf.problems[0]
+        for strategy in STRATEGIES:
+            with pytest.raises(NarrowError, match=f"{bound} must be non-negative, got -1"):
+                solve(pf.trs, problem.left, problem.right, strategy=strategy, **{bound: -1})
+
     def test_lazy_bfs_pops_by_lp_depth(self):
         """A popped node is finished at once by Con and one SU, so lazy bfs
         solves x =? a at the start node, the first configuration expanded,
@@ -629,16 +640,18 @@ class TestSolve:
         assert result.stopped == "config-limit"
 
     def test_deep_solution(self):
-        """A solution nested 300 deep is found and rendered (the solutions
-        are sorted by their rendered substitutions)."""
+        """A solution nested 450 deep is found and rendered (the solutions
+        are sorted by their rendered substitutions), under pytest's own
+        stack.  The walks that build and rename it recurse two frames per
+        level, which leaves 450 as the largest multiple of 50 that passes;
+        one frame more per level would fail here.  The check compares text,
+        as comparing two deep terms by value recurses too."""
         sig = Signature(L, {"Z": (), "S": (CBE_ID,), "f": (CBE_ID,)})
         trs = GradedTrs(sig, (RewriteRule(L.degree(1), App("f", (X,)), X),))
-        deep = num(300)
         for strategy in STRATEGIES:
-            result = solve(trs, X, deep, strategy=strategy, max_steps=1)
-            assert [sol.subst for sol in result.solutions] == [Substitution({X: deep})]
-            assert str(result.solutions[0].subst) == (
-                "{x -> " + "S(" * 300 + "Z" + ")" * 300 + "}")
+            result = solve(trs, X, num(450), strategy=strategy, max_steps=1)
+            assert [str(sol.subst) for sol in result.solutions] == \
+                ["{x -> " + "S(" * 450 + "Z" + ")" * 450 + "}"]
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_deep_successor_goals(self, strategy):

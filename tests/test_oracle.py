@@ -43,7 +43,6 @@ from qnarrow.oracle import (
     ConversionEdge,
     ConversionOutcome,
     SystemConfig,
-    _apply_env,
     _contexts,
     _conversion_edges,
     _flip,
@@ -62,6 +61,7 @@ from qnarrow.quantale import (
 )
 from qnarrow.term import (
     Term,
+    Var,
     is_ground,
     replace_at,
     term_depth,
@@ -233,6 +233,15 @@ def _exhaustive_best(trs, t, s, max_len):
 # -- the search as it was before its per-call tables ---------------------------
 
 
+def reference_apply_env(t: Term, env: dict) -> Term:
+    """The former `_apply_env`, its logic kept verbatim."""
+    if isinstance(t, Var):
+        return env.get(t, t)
+    if not t.args:
+        return t
+    return App(t.symbol, tuple(reference_apply_env(a, env) for a in t.args))
+
+
 def reference_edges_from(trs: GradedTrs, u: Term,
                          instantiation_pool: tuple[Term, ...]
                          ) -> tuple[list[ConversionEdge], bool]:
@@ -254,7 +263,8 @@ def reference_edges_from(trs: GradedTrs, u: Term,
             if env is not None:
                 degree = cbe_apply(grade, rule.degree)
                 edges.append(ConversionEdge(
-                    u, replace_at(u, p, _apply_env(rule.rhs, env)), p, i, True, degree))
+                    u, replace_at(u, p, reference_apply_env(rule.rhs, env)), p, i, True,
+                    degree))
             env = _match_env(rule.rhs, sub)
             if env is not None:
                 if degree is None:
@@ -270,7 +280,7 @@ def reference_edges_from(trs: GradedTrs, u: Term,
                     env2 = dict(env)
                     env2.update(zip(unbound, filling))
                     edges.append(ConversionEdge(
-                        u, replace_at(u, p, _apply_env(rule.lhs, env2)), p, i, False,
+                        u, replace_at(u, p, reference_apply_env(rule.lhs, env2)), p, i, False,
                         degree))
     return edges, incomplete
 

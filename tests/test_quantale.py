@@ -70,7 +70,8 @@ class TestValues:
         assert read_number("9" * MAX_LITERAL_DIGITS, "n") == 10 ** MAX_LITERAL_DIGITS - 1
         assert len(str(2 ** MAX_DEGREE_BITS - 1)) == MAX_LITERAL_DIGITS
         for text in ("9" * 5000, "1/" + "9" * 5000, "9" * (MAX_LITERAL_DIGITS + 1) + "/1",
-                     "1/0", "1/" + "0" * 5000, "", "1/", "/1", "1/2/3", "-1", "1.5", "x"):
+                     "1/0", "1/" + "0" * 5000, "", "1/", "/1", "1/2/3", "-1", "1.5", "x",
+                     "\u0663", "1/\u0663", "\uff11", "1_000"):
             with pytest.raises(CarrierError) as err:
                 read_number(text, "the number")
             message = str(err.value)

@@ -37,11 +37,14 @@ from qnarrow.term import (
     SignatureError,
     SubstitutionError,
     graded_subterms,
+    instantiate,
     iter_subterms,
     position_from_str,
     position_to_str,
 )
+from qnarrow.narrow import canonical_subst
 from qnarrow.oracle import SystemConfig, random_signature, random_system, random_term
+from qnarrow.unify import resolve, resolve_all
 
 from conftest import S, X, Y, Z, plus, random_value
 
@@ -354,3 +357,175 @@ class TestValueContract:
         assert str((plus(X, Z), Var("y", 1))) == (
             "(App(symbol='+', args=(Var(name='x', index=0), App(symbol='Z', args=()))), "
             "Var(name='y', index=1))")
+
+
+# -- the variable-replacing walks as they were before term.instantiate ----------
+
+
+def reference_apply(subst, t):
+    """Substitution.apply, its logic kept verbatim."""
+    if not subst._map:
+        return t
+    if isinstance(t, Var):
+        return subst._map.get(t, t)
+    new_args = tuple(reference_apply(subst, a) for a in t.args)
+    if all(n is o for n, o in zip(new_args, t.args)):
+        return t
+    return App(t.symbol, new_args)
+
+
+def reference_fresh_variant(terms, counter):
+    """fresh_variant, its logic kept verbatim."""
+    single = isinstance(terms, (Var, App))
+    group = (terms,) if single else tuple(terms)
+    renaming = {}
+
+    def rename(t):
+        if isinstance(t, Var):
+            v = renaming.get(t)
+            if v is None:
+                v = renaming[t] = Var(t.name, counter.next())
+            return v
+        if not t.args:
+            return t  # constants are shared, not rebuilt
+        return App(t.symbol, tuple([rename(a) for a in t.args]))
+
+    renamed = tuple(rename(t) for t in group)
+    return renamed[0] if single else renamed
+
+
+def reference_resolve(t, bindings):
+    """unify.resolve, its logic kept verbatim."""
+    if isinstance(t, Var):
+        bound = bindings.get(t)
+        return t if bound is None else reference_resolve(bound, bindings)
+    if not bindings or not t.args:
+        return t
+    new_args = tuple(reference_resolve(a, bindings) for a in t.args)
+    if all(n is o for n, o in zip(new_args, t.args)):
+        return t
+    return App(t.symbol, new_args)
+
+
+def reference_resolve_all(bindings):
+    """unify.resolve_all, its logic kept verbatim."""
+    done = {}
+
+    def res(t):
+        if isinstance(t, Var):
+            out = done.get(t)
+            if out is None:
+                bound = bindings.get(t)
+                out = done[t] = t if bound is None else res(bound)
+            return out
+        if not t.args:
+            return t
+        new_args = tuple(res(a) for a in t.args)
+        if all(n is o for n, o in zip(new_args, t.args)):
+            return t
+        return App(t.symbol, new_args)
+
+    return {x: res(x) for x in bindings}
+
+
+class ReferenceCanon:
+    """narrow._Canon, its logic kept verbatim."""
+
+    def __init__(self):
+        self.renaming = {}
+
+    def term(self, t):
+        if isinstance(t, Var):
+            if t.index == 0:
+                return t
+            if t not in self.renaming:
+                self.renaming[t] = Var("?", len(self.renaming) + 1)
+            return self.renaming[t]
+        return App(t.symbol, tuple(self.term(a) for a in t.args))
+
+
+def reference_canonical_subst(subst):
+    """narrow.canonical_subst, its logic kept verbatim."""
+    canon = ReferenceCanon()
+    items = sorted(subst.items(), key=lambda kv: (kv[0].name, kv[0].index))
+    return Substitution({x: canon.term(t) for x, t in items})
+
+
+# variables at several indices, so that problem variables (index 0) meet
+# counter-issued ones
+walk_vars = st.builds(Var, st.sampled_from("xyz"), st.integers(0, 3))
+
+
+def walk_terms(leaf_vars):
+    return st.recursive(
+        st.one_of(leaf_vars, st.sampled_from(("Z", "a")).map(App)),
+        lambda children: st.builds(App, st.sampled_from(("S", "f")),
+                                   st.lists(children, min_size=1, max_size=2).map(tuple)),
+        max_leaves=6)
+
+
+@st.composite
+def idempotent_maps(draw):
+    """A map whose domain variables occur in none of its range terms."""
+    domain = draw(st.sets(walk_vars, max_size=4))
+    free = [v for v in (Var(n, i) for n in "xyz" for i in range(4)) if v not in domain]
+    return {x: draw(walk_terms(st.sampled_from(free)))
+            for x in sorted(domain, key=lambda v: (v.name, v.index))}
+
+
+@st.composite
+def triangular_bindings(draw):
+    """Acyclic bindings: each bound variable maps to a term over the
+    variables bound after it and unbound ones, and may chain through them."""
+    chain = draw(st.permutations([Var(n, i) for n in "xyz" for i in range(4)]))
+    bound = draw(st.integers(0, 6))
+    bindings = {}
+    for k in range(bound - 1, -1, -1):
+        bindings[chain[k]] = draw(walk_terms(st.sampled_from(chain[k + 1:])))
+    keys = draw(st.permutations(list(bindings)))
+    return {x: bindings[x] for x in keys}
+
+
+class TestInstantiate:
+    """Each walk routed through `instantiate` agrees by value with the walk
+    it replaced."""
+
+    @given(idempotent_maps(), st.data())
+    def test_apply(self, mapping, data):
+        # terms over the map's domain and one more variable, so that most
+        # variables drawn are replaced
+        t = data.draw(walk_terms(st.sampled_from(sorted(mapping, key=str) + [Var("w")])))
+        subst = Substitution(mapping)
+        assert subst.apply(t) == reference_apply(subst, t)
+
+    @given(st.lists(walk_terms(walk_vars), min_size=1, max_size=3), st.integers(1, 9))
+    def test_fresh_variant(self, group, start):
+        for terms in (group[0], tuple(group)):
+            counter, expected_counter = FreshCounter(start), FreshCounter(start)
+            assert fresh_variant(terms, counter) == \
+                reference_fresh_variant(terms, expected_counter)
+            assert counter.value == expected_counter.value
+
+    @given(walk_terms(walk_vars), triangular_bindings())
+    def test_resolve(self, t, bindings):
+        assert resolve(t, bindings) == reference_resolve(t, bindings)
+
+    @given(triangular_bindings())
+    def test_resolve_all(self, bindings):
+        result = resolve_all(bindings)
+        expected = reference_resolve_all(bindings)
+        assert list(result.items()) == list(expected.items())
+
+    @given(idempotent_maps())
+    def test_canonical_subst(self, mapping):
+        subst = Substitution(mapping)
+        assert list(canonical_subst(subst).items()) == \
+            list(reference_canonical_subst(subst).items())
+
+    @given(walk_terms(walk_vars))
+    def test_unchanged_subterms_are_shared(self, t):
+        assert instantiate(t, lambda x: None) is t
+        grown = instantiate(t, lambda x: S(x) if x.index == 0 else None)
+        for p, old in iter_subterms(t):
+            if all(v.index for v in vars_of(old)):
+                assert subterm_at(grown, p) is old, position_to_str(p)
