@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .quantale import (
     CBE_ID,
@@ -52,13 +52,15 @@ from .term import (
     grade_of_position,
     graded_subterms,
     instantiate,
+    is_linear,
     is_prefix,
+    iter_subterms,
     max_var_index,
     replace_at,
     subterm_at,
     vars_of,
 )
-from .unify import Bindings, Equation, mgu, resolve_all, unifiable
+from .unify import Bindings, Equation, mgu, resolve_all, unifiable, unifiable_variant
 
 TRUE_TERM = App(TRUE_SYMBOL)
 
@@ -336,15 +338,24 @@ ORDERS = ("bfs", "best-first")
 # plain dict of bindings, extended copy-on-write and resolved on demand.  A
 # node is its goal, its degree, its solved form and one frame per LP step,
 # and both strategies build, key and merge the same nodes.  Each LP solves
-# just its one new equation against a copy of the parent's solved form,
-# which decides Cla without re-solving anything; the solver binds only
-# variables unbound in that form, as rule variants are fresh, so nothing is
-# rebound and resolution chains stay acyclic.  The strategy decides only
-# when SU runs, so it is read only where a popped node is finished: eager's
-# substitution is the solved form, as SU follows every LP, while lazy's is
-# the identity until the one SU of `finish` discharges the frames'
-# equations by `mgu`.  Idempotent substitutions are materialized only for
-# emitted solutions.
+# just its one new equation, between a fresh rule variant's left side and
+# the redex, against a copy of the parent's solved form, which decides Cla
+# without re-solving anything; the solver binds only variables unbound in
+# that form, as rule variants are fresh, so nothing is rebound and
+# resolution chains stay acyclic.  The variant is fixed by the rule and the
+# first index the counter issues for it (`_lp_walk`), so the equation is
+# solved in one walk of the rule's own left side (`unifiable_variant`),
+# which binds as solving the built equation would, and only the variant's
+# right side is built.  A frame records (rule, first index, redex) in place
+# of the equation; its left side is rebuilt only where the trace of an
+# emitted solution is written and for lazy's final `mgu`.  The strategy
+# decides only when SU runs, so it is read only where a popped node is
+# finished: eager's substitution is the solved form, as SU follows every LP,
+# while lazy's is the identity until the one SU of `finish` discharges the
+# frames' equations by `mgu`.  `finish` first looks, read-only, for a symbol
+# clash between the goal equation's sides under the solved form, which
+# rejects most failing nodes before the solved form is copied.  Idempotent
+# substitutions are materialized only for emitted solutions.
 #
 # Everything the search memoizes lives in tables local to one `solve` call
 # and dies with it:
@@ -443,17 +454,57 @@ ORDERS = ("bfs", "best-first")
 #     and stop alike.
 
 
-@dataclass(frozen=True)
-class _Node:
+class _Node(NamedTuple):
     """Internal search state: the goal, the degree, the triangular solved
     form of every equation recorded so far, and one frame per LP step,
-    (position, rule index, goal, equation, solved form, degree), from which
-    `_node_trace` writes the derivation of an emitted solution."""
+    (position, rule index, rule, first index, redex, goal, solved form,
+    degree), from which `_node_trace` writes the derivation of an emitted
+    solution.  The step's rule variant is the one `fresh_variant` draws
+    from a counter at the first index (`_variant_lhs`); its equation is
+    (left side of the variant, redex)."""
 
     goal: Term
     degree: QuantaleValue
     solved: Bindings
     frames: tuple = ()
+
+
+def _variant_lhs(rule: RewriteRule, first: int) -> Term:
+    """The left side of the rule variant whose indices start at `first`."""
+    return fresh_variant((rule.lhs, rule.rhs), FreshCounter(first))[0]
+
+
+def _rule_variables(rule: RewriteRule) -> tuple[tuple[Var, ...], bool]:
+    """The rule's variables in the order `fresh_variant` numbers them (first
+    occurrence over the left side, then the right side, left to right), and
+    whether its left side is linear."""
+    names = dict.fromkeys(v for side in (rule.lhs, rule.rhs)
+                          for _, v in iter_subterms(side) if isinstance(v, Var))
+    return tuple(names), is_linear(rule.lhs)
+
+
+def _lp_walk(rule: RewriteRule, variables: tuple[tuple[Var, ...], bool], redex: Term,
+             solved: Bindings, counter: FreshCounter) -> Optional[Term]:
+    """One LP step's unification, in one walk: the right side of the rule
+    variant the counter issues next, after extending `solved` in place by
+    the variant's left side unified with the redex, or None on Cla (then
+    `solved` holds a partial extension).  `variables` is `_rule_variables`
+    of the rule.  The variant, the counter afterwards and the extension are
+    those of `fresh_variant((rule.lhs, rule.rhs), counter)` followed by
+    `unifiable`, clash or not, but the left variant is built only where a
+    part of it gets bound."""
+    names, linear = variables
+    first = counter.value
+    counter.value = first + len(names)
+    renaming = {x: Var(x.name, first + k) for k, x in enumerate(names)}.__getitem__
+    if not unifiable_variant(rule.lhs, renaming, linear, redex, solved):
+        return None
+    return instantiate(rule.rhs, renaming)
+
+
+def _frame_equations(node: _Node) -> list[Equation]:
+    return [(_variant_lhs(rule, first), sub)
+            for _, _, rule, first, sub, _, _, _ in node.frames]
 
 
 def _node_trace(node: _Node, final: Substitution, eager: bool) -> tuple[BqTraceStep, ...]:
@@ -465,16 +516,17 @@ def _node_trace(node: _Node, final: Substitution, eager: bool) -> tuple[BqTraceS
     out = []
     subst = IDENTITY
     constraints: frozenset = frozenset()
-    for position, rule, goal, (lhs, sub), solved, degree in node.frames:
+    for (position, index, _, _, _, goal, solved, degree), (lhs, sub) in zip(
+            node.frames, _frame_equations(node)):
         if eager:
-            out.append(BqTraceStep("LP", position, rule, goal,
+            out.append(BqTraceStep("LP", position, index, goal,
                                    frozenset({(subst.apply(lhs), subst.apply(sub))}),
                                    subst, degree))
             subst = Substitution.trusted(resolve_all(solved))
             out.append(BqTraceStep("SU", None, None, goal, frozenset(), subst, degree))
         else:
             constraints = constraints | {(lhs, sub)}
-            out.append(BqTraceStep("LP", position, rule, goal, constraints, subst, degree))
+            out.append(BqTraceStep("LP", position, index, goal, constraints, subst, degree))
     left, right = node.goal.args
     constraints = constraints | {(subst.apply(left), subst.apply(right))}
     out.append(BqTraceStep("Con", None, None, TRUE_TERM, constraints, subst, node.degree))
@@ -621,6 +673,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
 
     goal_sig = trs.extended.signature
     rules_by_head = trs.rules_by_head
+    rule_variables = [_rule_variables(rule) for rule in trs.rules]
     grades = [cbe_normalize(quantale, CBE_ID)]  # grade id -> CBE; 0 is the root's
     grade_ids = {grades[0]: 0}
     child_grades: dict[tuple[int, str], tuple[int, ...]] = {}
@@ -667,6 +720,30 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             if not compatible(a, b, bindings):
                 return False
         return True
+
+    def clashes(left: Term, right: Term, bindings: Bindings) -> bool:
+        """Read-only refutation test: True means the two terms resolved under
+        the bindings differ in a symbol at some position they share, so they
+        have no unifier."""
+        stack = [(left, right)]
+        while stack:
+            a, b = stack.pop()
+            while isinstance(a, Var):
+                nxt = bindings.get(a)
+                if nxt is None:
+                    break
+                a = nxt
+            while isinstance(b, Var):
+                nxt = bindings.get(b)
+                if nxt is None:
+                    break
+                b = nxt
+            if isinstance(a, Var) or isinstance(b, Var) or a is b:
+                continue
+            if a.symbol != b.symbol or len(a.args) != len(b.args):
+                return True
+            stack.extend(zip(a.args, b.args))
+        return False
 
     def lp_candidates(node: _Node):
         """(position, rule index, rule, redex, degree factor); the position
@@ -716,14 +793,14 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             if after and p > after and p[:len(after)] != after:  # commutes before
                 skipped += 1
                 continue
-            lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
-            equation = (lhs, sub)
+            first = counter.value
             solved = dict(node.solved)
-            if not unifiable((equation,), solved):
+            rhs = _lp_walk(rule, rule_variables[i], sub, solved, counter)
+            if rhs is None:
                 clash_pruned += 1  # Cla fires on this configuration
                 continue
             goal = replace_at(node.goal, p, rhs)
-            frame = (p, i, goal, equation, solved, new_degree)
+            frame = (p, i, rule, first, sub, goal, solved, new_degree)
             yield _Node(goal, new_degree, solved, node.frames + (frame,)), p
 
     def finish(node: _Node) -> None:
@@ -731,13 +808,15 @@ def solve(trs: GradedTrs, t: Term, s: Term,
         emitted when the equation unifies with the node's solved form.  Eager
         takes that SU from the solved form, lazy from the mgu of its frames'
         equations and the goal equation."""
+        if clashes(*node.goal.args, node.solved):
+            return
         solved = dict(node.solved)
         if not unifiable((node.goal.args,), solved):
             return
         if eager:
             final = Substitution.trusted(resolve_all(solved))
         else:
-            final = mgu([frame[3] for frame in node.frames] + [node.goal.args])
+            final = mgu(_frame_equations(node) + [node.goal.args])
         restricted = canonical_subst(final.restrict(problem_vars))
         key = (restricted, node.degree)
         if key not in emitted:

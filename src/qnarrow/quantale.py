@@ -40,6 +40,10 @@ class _Infinity:
             cls._instance = super().__new__(cls)
         return cls._instance
 
+    def __reduce__(self):
+        # unpickled and copied through __new__, so it stays the singleton
+        return _Infinity, ()
+
     def __repr__(self):
         return "inf"
 
@@ -210,30 +214,33 @@ class Quantale(Enum):
         return (0, v.num if self.reversed_order else -v.num)
 
 
-@dataclass(frozen=True, eq=False)
 class QuantaleValue:
     """An element of a quantale: an exact rational (number text is read by
-    read_number) or the infinity token.
+    read_number) or the infinity token.  Immutable.
 
-    The hash is computed once, with the value the generated dataclass hash
-    would give; degrees key the search's memos and state tables."""
+    Hash, equality and repr are those of a frozen dataclass with the fields
+    quantale and num; the hash is computed once, as degrees key the
+    search's memos and state tables."""
 
-    quantale: Quantale
-    num: Extended
+    __slots__ = ("quantale", "num", "_hash")
 
-    def __post_init__(self):
-        num = self.num
+    def __init__(self, quantale: Quantale, num):
         if not isinstance(num, _Infinity):
             if not isinstance(num, Fraction):
                 num = read_number(num, "degree") if isinstance(num, str) else Fraction(num)
-                object.__setattr__(self, "num", num)
-            if (num.numerator.bit_length() > MAX_DEGREE_BITS
-                    or num.denominator.bit_length() > MAX_DEGREE_BITS):
-                raise CarrierError(f"a degree of {self.quantale.value} needs more "
-                                   f"than {MAX_DEGREE_BITS} bits")
-        if not self.quantale.contains(self.num):
-            raise CarrierError(f"{self.num} outside carrier of {self.quantale.value}")
-        object.__setattr__(self, "_hash", hash((self.quantale, self.num)))
+            _check_bits(quantale, num)
+        if not quantale.contains(num):
+            raise CarrierError(f"{num} outside carrier of {quantale.value}")
+        _fill(self, quantale, num)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return QuantaleValue, (self.quantale, self.num)
 
     def __hash__(self):
         return self._hash
@@ -246,8 +253,39 @@ class QuantaleValue:
         return (self._hash == other._hash and self.quantale is other.quantale
                 and self.num == other.num)
 
+    def __repr__(self):
+        return f"QuantaleValue(quantale={self.quantale!r}, num={self.num!r})"
+
     def __str__(self):
         return "inf" if self.num is INF else str(self.num)
+
+
+_new = object.__new__
+_set_quantale = QuantaleValue.quantale.__set__
+_set_num = QuantaleValue.num.__set__
+_set_hash = QuantaleValue._hash.__set__
+
+
+def _fill(v: QuantaleValue, q: Quantale, num: Extended) -> None:
+    _set_quantale(v, q)
+    _set_num(v, num)
+    _set_hash(v, hash((q, num)))
+
+
+def _check_bits(q: Quantale, num: Fraction) -> None:
+    if (num.numerator.bit_length() > MAX_DEGREE_BITS
+            or num.denominator.bit_length() > MAX_DEGREE_BITS):
+        raise CarrierError(f"a degree of {q.value} needs more than {MAX_DEGREE_BITS} bits")
+
+
+def _result(q: Quantale, num: Extended) -> QuantaleValue:
+    """A degree computed by an operation closed on the carrier: only the bit
+    bound is checked, not the carrier."""
+    if num is not INF:
+        _check_bits(q, num)
+    v = _new(QuantaleValue)
+    _fill(v, q, num)
+    return v
 
 
 for _q in Quantale:
@@ -268,7 +306,7 @@ def q_tensor(a: QuantaleValue, b: QuantaleValue) -> QuantaleValue:
     q = _check_same(a, b)
     if a.num is INF or b.num is INF:
         return q.bottom
-    return QuantaleValue(q, q._tensor(a.num, b.num))
+    return _result(q, q._tensor(a.num, b.num))
 
 
 def q_leq(a: QuantaleValue, b: QuantaleValue) -> bool:
@@ -382,7 +420,7 @@ def cbe_apply(f: Cbe, a: QuantaleValue) -> QuantaleValue:
             num = Fraction(0) if f.factor == 0 else INF
         else:
             num = f.factor * a.num
-        return QuantaleValue(q, num)
+        return _result(q, num)
     if isinstance(f, CbePow):
         _admitted(q, f)
         # x ** n has more than n * (bits of x - 1) bits: refuse before computing
@@ -390,7 +428,7 @@ def cbe_apply(f: Cbe, a: QuantaleValue) -> QuantaleValue:
         if f.exponent * (bits - 1) >= MAX_DEGREE_BITS:
             raise CarrierError(f"pow({f.exponent}) of {a} needs more than "
                                f"{MAX_DEGREE_BITS} bits")
-        return QuantaleValue(q, a.num ** f.exponent)
+        return _result(q, a.num ** f.exponent)
     if isinstance(f, CbeCompose):
         return cbe_apply(f.outer, cbe_apply(f.inner, a))
     if isinstance(f, CbeTensor):

@@ -8,7 +8,6 @@ issued by a freshness counter, so variants never collide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .quantale import (
@@ -43,15 +42,31 @@ class SubstitutionError(TermError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class Var:
-    # hash cached as for App (variables key every bindings dict), with the
-    # value the generated hash gave
-    name: str
-    index: int = 0
+class _Frozen:
+    """Base of the immutable term classes: each fills its slots once, in its
+    constructor, through the slot descriptors.  Hash, equality and repr are
+    those of a frozen dataclass with the same fields, the hash cached."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name, self.index)))
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Var(_Frozen):
+    # variables key every bindings dict, so the hash is cached
+    __slots__ = ("name", "index", "_hash")
+
+    def __init__(self, name: str, index: int = 0):
+        _set_var_name(self, name)
+        _set_var_index(self, index)
+        _set_var_hash(self, hash((name, index)))
+
+    def __reduce__(self):
+        return Var, (self.name, self.index)
 
     def __hash__(self):
         return self._hash
@@ -64,20 +79,32 @@ class Var:
         return (self._hash == other._hash and self.name == other.name
                 and self.index == other.index)
 
+    def __repr__(self):
+        return f"Var(name={self.name!r}, index={self.index!r})"
+
     def __str__(self):
         return self.name if self.index == 0 else f"{self.name}'{self.index}"
 
 
-@dataclass(frozen=True, eq=False)
-class App:
-    # hash is cached per node: terms are used as dict keys throughout the
-    # search loops, and the generated dataclass hash would re-walk the tree
-    symbol: str
-    args: tuple["Term", ...] = ()
+_set_var_name = Var.name.__set__
+_set_var_index = Var.index.__set__
+_set_var_hash = Var._hash.__set__
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        object.__setattr__(self, "_hash", hash((self.symbol, self.args)))
+
+class App(_Frozen):
+    # terms are dict keys throughout the search loops, so the hash is cached
+    # per node instead of re-walking the tree
+    __slots__ = ("symbol", "args", "_hash")
+
+    def __init__(self, symbol: str, args: tuple["Term", ...] = ()):
+        if type(args) is not tuple:
+            args = tuple(args)
+        _set_app_symbol(self, symbol)
+        _set_app_args(self, args)
+        _set_app_hash(self, hash((symbol, args)))
+
+    def __reduce__(self):
+        return App, (self.symbol, self.args)
 
     def __hash__(self):
         return self._hash
@@ -87,8 +114,28 @@ class App:
             return True
         if not isinstance(other, App):
             return NotImplemented
-        return (self._hash == other._hash and self.symbol == other.symbol
-                and self.args == other.args)
+        if self._hash != other._hash:
+            return False
+        # argument pairs are compared from an explicit stack, so deep terms
+        # do not exhaust the interpreter's recursion limit
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.symbol != b.symbol or len(a.args) != len(b.args):
+                return False
+            for x, y in zip(a.args, b.args):
+                if x is y:
+                    continue
+                if type(x) is App and type(y) is App:
+                    if x._hash != y._hash:
+                        return False
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __repr__(self):
+        return f"App(symbol={self.symbol!r}, args={self.args!r})"
 
     def __str__(self):
         # rendered from an explicit stack of pending pieces (terms and
@@ -114,6 +161,10 @@ class App:
                 stack += (args[0], item.symbol + "(")
         return "".join(out)
 
+
+_set_app_symbol = App.symbol.__set__
+_set_app_args = App.args.__set__
+_set_app_hash = App._hash.__set__
 
 Term = Union[Var, App]
 Position = tuple[int, ...]

@@ -15,7 +15,7 @@ a set decides unifiability of the enlarged set without re-solving it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .term import App, Substitution, Term, Var, instantiate
 
@@ -73,16 +73,32 @@ def _occurs(x: Var, t: Term, bindings: Bindings) -> bool:
     return False
 
 
+def _bind(a: Term, b: Term, bindings: Bindings,
+          occurs_check: bool = True) -> Optional[tuple[str, Term, Term]]:
+    """Bind for the walked, unequal sides a and b, one of them a variable:
+    of two variables the fresher, by (index, name), is bound, which keeps
+    problem variables (and therefore the rendered output) stable under
+    renaming; else the variable, unless it occurs in the other side."""
+    x, t = (a, b) if isinstance(a, Var) else (b, a)
+    if isinstance(t, Var):
+        if (t.index, t.name) > (x.index, x.name):
+            x, t = t, x
+    elif occurs_check and _occurs(x, t, bindings):
+        return "occurs", x, t
+    bindings[x] = t
+    return None
+
+
 def _solve(work: list, bindings: Bindings) -> Optional[tuple[str, Term, Term]]:
     """Solve the equations in `work` (popped from the end) modulo the
     bindings, adding new bindings in place.  Returns None, or the failure's
     reason and its two walked (not resolved) sides; the bindings then hold a
     partial extension.
 
-    The pop order and the choice of the bound variable (the fresher of two,
-    by (index, name)) are those of the transformation-style algorithm that
-    applies each binding to all pending equations at once, so resolving the
-    result gives exactly its unifier.
+    The pop order and the choice of the bound variable (`_bind`) are those
+    of the transformation-style algorithm that applies each binding to all
+    pending equations at once, so resolving the result gives exactly its
+    unifier.
     """
     get = bindings.get
     while work:
@@ -100,20 +116,57 @@ def _solve(work: list, bindings: Bindings) -> Optional[tuple[str, Term, Term]]:
         if a == b:
             continue
         if isinstance(a, Var) or isinstance(b, Var):
-            x, t = (a, b) if isinstance(a, Var) else (b, a)
-            # bind the fresher of two variables, keeping problem variables
-            # (and therefore the rendered output) stable under renaming
-            if isinstance(t, Var):
-                if (t.index, t.name) > (x.index, x.name):
-                    x, t = t, x
-            elif _occurs(x, t, bindings):
-                return "occurs", x, t
-            bindings[x] = t
+            failure = _bind(a, b, bindings)
+            if failure is not None:
+                return failure
             continue
         if a.symbol != b.symbol or len(a.args) != len(b.args):
             return "clash", a, b
         work.extend(zip(a.args, b.args))
     return None
+
+
+def unifiable_variant(pattern: Term, fresh: Callable[[Var], Var], linear: bool,
+                      subject: Term, bindings: Bindings) -> bool:
+    """Whether the variant of `pattern` that renames each of its variables x
+    to fresh(x) unifies with `subject` modulo the bindings.  The bindings are
+    extended exactly as `unifiable(((variant, subject),), bindings)` extends
+    them, binding for binding and in the same order, but the variant is
+    built only where a part of it gets bound.
+
+    The fresh variables must occur neither in the bindings nor in the
+    subject, and `linear` must say whether no variable occurs twice in the
+    pattern.  Then a variable of a linear pattern is reached once, unbound
+    and in no binding, so its binding and every binding to a part of the
+    pattern pass the occurs check, which runs only for a repeated variable.
+    The pattern's own pairs are taken in `_solve`'s pop order, and a pair
+    whose pattern side is a repeated variable is solved by `_solve` itself,
+    pairs it pushes before those pending.
+    """
+    get = bindings.get
+    work = [(pattern, subject)]
+    while work:
+        p, b = work.pop()
+        while isinstance(b, Var):
+            bound = get(b)
+            if bound is None:
+                break
+            b = bound
+        if isinstance(p, Var):
+            if linear:
+                _bind(fresh(p), b, bindings, False)
+            elif _solve([(fresh(p), b)], bindings) is not None:
+                return False
+        elif isinstance(b, Var):
+            if _bind(b, instantiate(p, fresh), bindings, not linear) is not None:
+                return False
+        elif p.symbol != b.symbol or len(p.args) != len(b.args):
+            return False
+        else:
+            # an equal pair would be skipped whole where this decomposes it:
+            # its pairs are then equal too and bind nothing
+            work.extend(zip(p.args, b.args))
+    return True
 
 
 def resolve_all(bindings: Bindings) -> dict:

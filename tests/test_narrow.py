@@ -54,6 +54,7 @@ from qnarrow.narrow import (
     _UNSEEN,
     _goal_is_equation,
     _identity_functions,
+    _variant_lhs,
     canonical_subst,
 )
 from qnarrow.quantale import (
@@ -72,6 +73,7 @@ from qnarrow.term import (
     ROOT,
     Term,
     fresh_variant,
+    is_linear,
     max_var_index,
     replace_at,
 )
@@ -1622,6 +1624,111 @@ def reached_states(engine, trs, t, s, **kwargs) -> set:
     with recorded(engine.__globals__, factory, record):
         engine(trs, t, s, **kwargs)
     return reached
+
+
+# -- the LP successor before its unification became one walk ------------------
+
+
+def reference_lp_successor(rule, sub, parent_solved, counter):
+    """The unification of `solve`'s LP successor before it walked the rule's
+    own left side, its logic kept verbatim: the equation, the extended
+    solved form and the right side of the variant, or None on Cla."""
+    lhs, rhs = fresh_variant((rule.lhs, rule.rhs), counter)
+    equation = (lhs, sub)
+    solved = dict(parent_solved)
+    if not unifiable((equation,), solved):
+        return None
+    return equation, solved, rhs
+
+
+@contextmanager
+def lp_walks_checked():
+    """Within the block, every LP candidate `solve` walks is also given to
+    `reference_lp_successor`, from the same solved form and counter value,
+    and the two must agree: the verdict, the solved form binding for binding
+    in insertion order, the right side of the variant, the counter value
+    afterwards, and the left side `_variant_lhs` rebuilds for the frame.
+    Yields the list of (rule, verdict) pairs compared."""
+    scope = solve.__globals__
+    walk = scope["_lp_walk"]
+    compared = []
+
+    def checked(rule, variables, redex, solved, counter):
+        before, first = dict(solved), counter.value
+        reference_counter = FreshCounter(first)
+        expected = reference_lp_successor(rule, redex, before, reference_counter)
+        rhs = walk(rule, variables, redex, solved, counter)
+        assert (rhs is None) == (expected is None), (rule, redex, before)
+        assert counter.value == reference_counter.value
+        if expected is not None:
+            equation, reference_solved, reference_rhs = expected
+            assert list(solved.items()) == list(reference_solved.items()), (rule, redex)
+            assert rhs == reference_rhs
+            assert _variant_lhs(rule, first) == equation[0]
+        compared.append((rule, rhs is not None))
+        return rhs
+
+    scope["_lp_walk"] = checked
+    try:
+        yield compared
+    finally:
+        scope["_lp_walk"] = walk
+
+
+class TestLpWalk:
+    @pytest.mark.parametrize("strategy, order, steps", GOLDEN_SETTINGS)
+    def test_demo_problems(self, strategy, order, steps):
+        with lp_walks_checked() as compared:
+            for _, trs, problem in demo_problems():
+                solve(trs, problem.left, problem.right, threshold=problem.threshold,
+                      strategy=strategy, order=order, max_steps=steps)
+        assert any(verdict for _, verdict in compared)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), quantale=st.sampled_from(list(Quantale)),
+           steps=st.integers(1, 3))
+    def test_random_systems(self, seed, quantale, steps):
+        trs, t, s = random_problem(seed, quantale)
+        with lp_walks_checked():
+            for strategy in STRATEGIES:
+                for order in ORDERS:
+                    solve(trs, t, s, strategy=strategy, order=order, max_steps=steps)
+
+    def test_random_systems_cover_clashes_of_repeated_variables(self):
+        """`compatible` lets few clashes through, all of them on a repeated
+        variable of the left side here."""
+        with lp_walks_checked() as compared:
+            for seed in range(300):
+                trs, t, s = random_problem(seed, list(Quantale)[seed % len(Quantale)])
+                solve(trs, t, s, max_steps=3)
+        assert any(verdict for _, verdict in compared)
+        assert any(not verdict and not is_linear(rule.lhs) for rule, verdict in compared)
+
+    @pytest.mark.parametrize("lhs, goal", [("f(x, x)", "f(y, S(y))"),
+                                           ("f(S(x), x)", "f(y, y)")])
+    def test_repeated_variable_runs_the_occurs_check(self, lhs, goal):
+        """f(x, x) against f(y, S(y)): the second x meets S(y) once x is
+        bound to y.  f(S(x), x) against f(y, y): x is bound to y first, then
+        y meets S(x).  Only the occurs check refutes either step."""
+        pf = parse("quantale lawvere\nvar x y\nfun Z/0\nfun S/1\nfun f/2\n"
+                   f"fun a/0\nrule 1 : {lhs} -> a\nsolve {goal} =? a\n")
+        problem = pf.problems[0]
+        with lp_walks_checked() as compared:
+            result = solve(pf.trs, problem.left, problem.right, max_steps=1)
+        assert [verdict for _, verdict in compared] == [False]
+        assert result.clash_pruned == 1 and not result.solutions
+
+    def test_fresher_of_two_variables_is_bound(self):
+        """f(S(z), S(y)) against f(u, u): u is bound to S(y') first, then
+        the walk meets z' and y' unbound and binds the fresher, y' (the
+        reference compares the orientation)."""
+        pf = parse("quantale lawvere\nvar u y z\nfun S/1\nfun f/2\nfun a/0\n"
+                   "rule 1 : f(S(z), S(y)) -> a\nsolve f(u, u) =? a\n")
+        problem = pf.problems[0]
+        with lp_walks_checked() as compared:
+            result = solve(pf.trs, problem.left, problem.right, max_steps=1)
+        assert [verdict for _, verdict in compared] == [True]
+        assert [str(sol.subst) for sol in result.solutions] == ["{u -> S(?'1)}"]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write-golden"]:

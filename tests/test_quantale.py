@@ -28,7 +28,8 @@ from qnarrow import (
     q_tensor,
 )
 from qnarrow.quantale import (MAX_DEGREE_BITS, MAX_LITERAL_DIGITS, CarrierError, CbeError,
-                              QuantaleMismatchError, cbe_admissible, read_number)
+                              QuantaleMismatchError, QuantaleValue, cbe_admissible,
+                              read_number)
 
 from conftest import random_cbe, random_value
 
@@ -109,6 +110,14 @@ class TestDegreeBound:
                 q.degree(num)
         with pytest.raises(CarrierError):
             q_tensor(FP.degree(widest), FP.degree(Fraction(1, 2)))
+
+    def test_constructor_checks_the_number_then_the_bits_then_the_carrier(self):
+        with pytest.raises(CarrierError, match="not a number literal"):
+            QuantaleValue(FG, "2 ** 20000")
+        with pytest.raises(CarrierError, match="needs more than"):
+            QuantaleValue(FG, 2 ** MAX_DEGREE_BITS)
+        with pytest.raises(CarrierError, match="outside carrier"):
+            QuantaleValue(FG, 2)
 
     def test_pow_refused_before_exponentiating(self, monkeypatch):
         third = FP.degree(Fraction(1, 3))
@@ -304,6 +313,18 @@ class TestValueContract:
         assert hash(a) == hash((a.quantale, a.num))
         copy = a.quantale.degree(a.num)
         assert copy == a and hash(copy) == hash(a)
+
+    @given(degrees(), degrees())
+    def test_operation_results_equal_checked_degrees(self, a, b):
+        """q_tensor and cbe_apply skip the carrier check, which their
+        results pass anyway."""
+        results = [cbe_apply(f, a) for f in (CbeScale(2), CbePow(2))
+                   if cbe_admissible(a.quantale, f)]
+        if a.quantale is b.quantale:
+            results.append(q_tensor(a, b))
+        for v in results:
+            checked = QuantaleValue(v.quantale, v.num)
+            assert v == checked and hash(v) == hash(checked) and repr(v) == repr(checked)
 
     def test_equal_numbers_in_different_quantales_unequal(self):
         pairs = [(L.degree(1), LM.degree(1)), (FG.degree(1), FP.degree(1)),

@@ -1,7 +1,10 @@
 """Terms, positions, grades, substitutions, and fresh variants."""
 
+import copy
+import pickle
 import random
 from dataclasses import make_dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,12 +16,14 @@ from qnarrow import (
     CbeScale,
     FreshCounter,
     IDENTITY,
+    INF,
     Quantale,
     Signature,
     Substitution,
     cbe_apply,
     cbe_equal,
     fresh_variant,
+    q_tensor,
     fun_positions,
     grade_of_position,
     grade_of_var,
@@ -280,11 +285,13 @@ class TestPredicates:
 #
 # Search state keys order constraints by `str` of each equation, which is
 # the repr of its terms, so the reprs below are part of the search's
-# behaviour.  The mirrors are the dataclasses Var and App are declared as,
-# with every method generated.
+# behaviour.  The mirrors are frozen dataclasses with the fields of Var, App
+# and QuantaleValue, every method generated.
 
 PlainVar = make_dataclass("Var", [("name", str), ("index", int)], frozen=True)
 PlainApp = make_dataclass("App", [("symbol", str), ("args", tuple)], frozen=True)
+PlainDegree = make_dataclass("QuantaleValue", [("quantale", Quantale), ("num", object)],
+                             frozen=True)
 
 
 def mirror(t):
@@ -312,6 +319,15 @@ def reference_str(t):
     if not t.args:
         return t.symbol
     return f"{t.symbol}({', '.join(reference_str(a) for a in t.args)})"
+
+
+@st.composite
+def degrees(draw):
+    q = draw(st.sampled_from(list(Quantale)))
+    if q.reversed_order and draw(st.booleans()):
+        return q.degree(INF)
+    num = draw(st.sampled_from(("0", "1/2", "1", "3")))
+    return q.parse_degree(num if q.contains(Fraction(num)) else "1")
 
 
 # equations (also nested and with other argument counts) and up to three
@@ -349,6 +365,53 @@ class TestValueContract:
     @given(rendered_terms)
     def test_rendering_matches_the_recursive_form(self, t):
         assert str(t) == reference_str(t)
+
+    @given(degrees(), degrees())
+    def test_degrees_match_the_dataclass_form(self, a, b):
+        plain_a, plain_b = (PlainDegree(v.quantale, v.num) for v in (a, b))
+        assert repr(a) == repr(plain_a)
+        assert hash(a) == hash(plain_a)
+        assert (a == b) == (plain_a == plain_b)
+        assert a != plain_a
+
+    @pytest.mark.parametrize("value", [X, Var("y", 3), plus(S(X), Z), L.degree(2),
+                                       q_tensor(L.degree(1), L.degree(2))],
+                             ids=repr)
+    def test_immutable(self, value):
+        for name in (*value.__slots__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+    @pytest.mark.parametrize("value", [X, Var("y", 3), plus(S(X), Z), App("Z"),
+                                       L.degree(2), L.degree(INF), L.parse_degree("1/3"),
+                                       q_tensor(Quantale.FUZZY_PRODUCT.degree(Fraction(1, 2)),
+                                                Quantale.FUZZY_PRODUCT.degree(Fraction(1, 3)))],
+                             ids=repr)
+    def test_copy_and_pickle_round_trip(self, value):
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is type(value)
+            assert other == value and hash(other) == hash(value)
+            assert repr(other) == repr(value)
+
+    def test_deep_terms_compare_without_recursion(self):
+        """Equality walks deep arguments from an explicit stack: equal terms
+        built apart are equal, and terms differing only at the leaf are not,
+        far past the interpreter's recursion limit."""
+        def tower(leaf, depth=5000):
+            t = leaf
+            for _ in range(depth):
+                t = S(t)
+            return t
+
+        assert tower(Z) == tower(Z) and not tower(Z) != tower(Z)
+        assert tower(Z) != tower(App("a")) and not tower(Z) == tower(X)
+        assert plus(tower(Z), X) == plus(tower(Z), X)
+        assert plus(tower(Z), X) != plus(tower(Z), Y)
 
     def test_pinned_reprs(self):
         assert repr(Var("y", 3)) == "Var(name='y', index=3)"
