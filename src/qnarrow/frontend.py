@@ -1,6 +1,7 @@
 """Text format for rule files and rendering of solver output.
 
-The format is line oriented; `#` starts a comment.
+The format is line oriented (a line ends at \\n, \\r\\n or \\r); `#` starts a
+comment.
 
     quantale lawvere
     var x y
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .quantale import (
     CBE_CONST,
@@ -79,42 +80,30 @@ class ProblemFile:
     problems: tuple[Problem, ...]
 
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*|[+*-]"
+_NAME_RE = re.compile(_NAME)
+
+# Parsing is a fixed cost of every request, so the tokens of a line are
+# just the strings one `findall` returns for it, read by index: no object
+# is built per token (a kind is told from the text where a check needs
+# it), and a token's column is found only for an error message, by
+# scanning the line again.  Each match takes the whitespace after its token
+# (taking the whitespace before it would make a line that ends in blanks
+# quadratic to scan).  A comment runs to the end of the text scanned, and
+# the bare `\S` that ends the pattern reads an unexpected character as the
+# empty token.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#.*)
-      | (?P<arrow>->)
-      | (?P<eq>=\?)
-      | (?P<number>[0-9]+(?:/[0-9]+)?)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*|[+*-])
-      | (?P<punct>[(),:;/])
-    """,
-    re.VERBOSE,
-)
+    rf"""(?:(
+        \#.*                            # a comment
+      | -> | =\?
+      | [0-9]+(?:/[0-9]+)?              # a number
+      | {_NAME}
+      | [(),:;/]
+    ) | \S )\s*""",
+    re.VERBOSE | re.DOTALL)
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize_line(text: str, line_no: int, filename: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise GtrsError(f"unexpected character {text[pos]!r}", line_no, pos + 1,
-                            filename)
-        kind = m.lastgroup
-        if kind == "comment":
-            break
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), line_no, m.start() + 1))
-        pos = m.end()
-    return tokens
+# Lines end where `open` ends them in text mode.
+_LINE_END = re.compile(r"\r\n|\r|\n")
 
 
 def _quote(text: str) -> str:
@@ -122,51 +111,11 @@ def _quote(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"<{len(text)} characters>"
 
 
-class _LineParser:
-    def __init__(self, tokens: list[_Token], line_no: int, filename: str):
-        self.tokens = tokens
-        self.i = 0
-        self.line = line_no
-        self.filename = filename
+class _Reader:
+    """Reads the rule-file format a line at a time.  Each reader of a
+    declaration or a term takes the index of its first token and returns
+    the index after its last."""
 
-    def error(self, message: str, token: Optional[_Token] = None):
-        col = token.col if token else (self.tokens[-1].col if self.tokens else 1)
-        raise GtrsError(message, self.line, col, self.filename)
-
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self, expected: Optional[str] = None) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            self.error(f"unexpected end of line (expected {expected})"
-                       if expected else "unexpected end of line")
-        self.i += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.next(expected=repr(text))
-        if tok.text != text:
-            self.error(f"expected {text!r}, found {_quote(tok.text)}", tok)
-        return tok
-
-    def at_end(self) -> bool:
-        # a trailing semicolon is tolerated on every line
-        return self.i >= len(self.tokens) or (
-            self.i == len(self.tokens) - 1 and self.tokens[self.i].text == ";")
-
-
-def _whole_number(lp: _LineParser, tok: _Token, what: str, limit: int) -> int:
-    """A whole-number token at most limit, its digits counted before it is read."""
-    if tok.kind != "number" or "/" in tok.text:
-        lp.error(f"{what} must be a whole number, found {_quote(tok.text)}", tok)
-    value = read_number(tok.text, what) if len(tok.text.lstrip("0")) <= len(str(limit)) else None
-    if value is None or value > limit:
-        lp.error(f"{what} exceeds the limit of {limit}", tok)
-    return int(value)
-
-
-class _Parser:
     def __init__(self, filename: str):
         self.filename = filename
         self.quantale: Optional[Quantale] = None
@@ -174,28 +123,26 @@ class _Parser:
         self.symbols: dict[str, tuple[Cbe, ...]] = {}
         self.rules: list[RewriteRule] = []
         self.problems: list[Problem] = []
+        # Degree and threshold texts already read.  A degree is immutable
+        # and the quantale is fixed once declared, so each literal (most are
+        # 0 or 1) is read and checked once per parse call.
+        self.degrees: dict[str, QuantaleValue] = {}
+        self.line = ""
+        self.line_no = 0
+        self.tokens: list[str] = []
 
-    # -- declarations -----------------------------------------------------
-
-    def parse(self, text: str) -> ProblemFile:
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            tokens = _tokenize_line(raw, line_no, self.filename)
-            if not tokens:
+    def read(self, text: str) -> ProblemFile:
+        for line_no, line in enumerate(_LINE_END.split(text), start=1):
+            tokens = self.scan(line, line_no)
+            head = tokens[0]
+            if not head:
                 continue
-            lp = _LineParser(tokens, line_no, self.filename)
-            head = lp.next()
-            handler = {
-                "quantale": self._parse_quantale,
-                "var": self._parse_var,
-                "fun": self._parse_fun,
-                "rule": self._parse_rule,
-                "solve": self._parse_solve,
-            }.get(head.text)
-            if handler is None:
-                lp.error(f"unknown declaration {_quote(head.text)}", head)
-            handler(lp)
-            if not lp.at_end():
-                lp.error(f"trailing input {_quote(lp.peek().text)}", lp.peek())
+            declaration = self._DECLARATIONS.get(head)
+            if declaration is None:
+                self.fail(f"unknown declaration {_quote(head)}", 0)
+            i = declaration(self, 1)
+            if not self.at_end(i):
+                self.fail(f"trailing input {_quote(tokens[i])}", i)
         if self.quantale is None:
             raise GtrsError("missing quantale declaration", 1, 1, self.filename)
         signature = Signature(self.quantale, self.symbols)
@@ -203,182 +150,277 @@ class _Parser:
         return ProblemFile(self.quantale, tuple(self.variables.values()),
                            signature, trs, tuple(self.problems))
 
-    def _need_quantale(self, lp: _LineParser) -> Quantale:
+    # -- tokens -----------------------------------------------------------
+
+    def scan(self, line: str, line_no: int) -> list[str]:
+        """Make `line` the current line and return its tokens, ended by the
+        empty token, which matches no text a reader looks for."""
+        tokens = _TOKEN_RE.findall(line)
+        if tokens and tokens[-1][:1] == "#":
+            tokens.pop()
+        self.line, self.line_no, self.tokens = line, line_no, tokens
+        if "" in tokens:
+            col = self.column(tokens.index(""))
+            raise GtrsError(f"unexpected character {line[col - 1]!r}", line_no, col,
+                            self.filename)
+        tokens.append("")
+        return tokens
+
+    def column(self, i: int) -> int:
+        """The column of token i of the line; 1 when the line has none."""
+        if i < 0:
+            return 1
+        return [m.start() for m in _TOKEN_RE.finditer(self.line)][i] + 1
+
+    def fail(self, message: str, i: Optional[int] = None) -> NoReturn:
+        """Raise GtrsError at token i of the line, or at its last token."""
+        i = len(self.tokens) - 2 if i is None else i
+        raise GtrsError(message, self.line_no, self.column(i), self.filename)
+
+    def token(self, i: int, expected: str) -> str:
+        """Token i, which the line must have; `expected` names it."""
+        token = self.tokens[i]
+        if not token:
+            self.fail(f"unexpected end of line (expected {expected})")
+        return token
+
+    def expect(self, i: int, text: str) -> int:
+        token = self.token(i, repr(text))
+        if token != text:
+            self.fail(f"expected {text!r}, found {_quote(token)}", i)
+        return i + 1
+
+    def at_end(self, i: int) -> bool:
+        # a trailing semicolon is tolerated on every line
+        token = self.tokens[i]
+        return not token or (token == ";" and not self.tokens[i + 1])
+
+    def whole_number(self, i: int, what: str, limit: int) -> int:
+        """Token i as a whole number at most limit, its digits counted
+        before it is read."""
+        text = self.tokens[i]
+        if not text.isdecimal():
+            self.fail(f"{what} must be a whole number, found {_quote(text)}", i)
+        value = read_number(text, what) if len(text.lstrip("0")) <= len(str(limit)) else None
+        if value is None or value > limit:
+            self.fail(f"{what} exceeds the limit of {limit}", i)
+        return int(value)
+
+    # -- declarations -----------------------------------------------------
+
+    def need_quantale(self) -> Quantale:
         if self.quantale is None:
-            lp.error("quantale must be declared first")
+            self.fail("quantale must be declared first")
         return self.quantale
 
-    def _parse_quantale(self, lp: _LineParser):
+    def declare_quantale(self, i: int) -> int:
         if self.quantale is not None:
-            lp.error("duplicate quantale declaration")
-        parts = []
-        while not lp.at_end():
-            parts.append(lp.next().text)
-        name = "".join(parts)
+            self.fail("duplicate quantale declaration")
+        end = i
+        while not self.at_end(end):
+            end += 1
+        name = "".join(self.tokens[i:end])
         if name not in _QUANTALE_NAMES:
-            lp.error(f"unknown quantale {_quote(name)} (expected one of "
-                     f"{', '.join(sorted(_QUANTALE_NAMES))})")
+            self.fail(f"unknown quantale {_quote(name)} (expected one of "
+                      f"{', '.join(sorted(_QUANTALE_NAMES))})")
         self.quantale = _QUANTALE_NAMES[name]
+        return end
 
-    def _parse_var(self, lp: _LineParser):
-        any_seen = False
-        while not lp.at_end():
-            tok = lp.next()
-            if tok.kind != "name":
-                lp.error(f"expected a variable name, found {_quote(tok.text)}", tok)
-            if tok.text in RESERVED_SYMBOLS:
-                lp.error(f"{_quote(tok.text)} is reserved", tok)
-            if tok.text in self.variables or tok.text in self.symbols:
-                lp.error(f"{_quote(tok.text)} already declared", tok)
-            self.variables[tok.text] = Var(tok.text)
-            any_seen = True
-        if not any_seen:
-            lp.error("empty variable declaration")
+    def declare_var(self, i: int) -> int:
+        if self.at_end(i):
+            self.fail("empty variable declaration")
+        while not self.at_end(i):
+            name = self.tokens[i]
+            if not _NAME_RE.fullmatch(name):
+                self.fail(f"expected a variable name, found {_quote(name)}", i)
+            if name in RESERVED_SYMBOLS:
+                self.fail(f"{_quote(name)} is reserved", i)
+            if name in self.variables or name in self.symbols:
+                self.fail(f"{_quote(name)} already declared", i)
+            self.variables[name] = Var(name)
+            i += 1
+        return i
 
-    def _parse_fun(self, lp: _LineParser):
-        quantale = self._need_quantale(lp)
-        tok = lp.next("a function symbol")
-        if tok.kind != "name":
-            lp.error(f"expected a function symbol, found {_quote(tok.text)}", tok)
-        name = tok.text
+    def declare_fun(self, i: int) -> int:
+        quantale = self.need_quantale()
+        tokens = self.tokens
+        name = self.token(i, "a function symbol")
+        if not _NAME_RE.fullmatch(name):
+            self.fail(f"expected a function symbol, found {_quote(name)}", i)
         if name in RESERVED_SYMBOLS:
-            lp.error(f"{_quote(name)} is reserved", tok)
+            self.fail(f"{_quote(name)} is reserved", i)
         if name in self.symbols or name in self.variables:
-            lp.error(f"{_quote(name)} already declared", tok)
-        lp.expect("/")
-        arity_tok = lp.next("an arity")
-        arity = _whole_number(lp, arity_tok, "arity", MAX_ARITY)
+            self.fail(f"{_quote(name)} already declared", i)
+        at = i
+        i = self.expect(i + 1, "/")
+        self.token(i, "an arity")
+        arity = self.whole_number(i, "arity", MAX_ARITY)
+        i += 1
         cbes: tuple[Cbe, ...]
-        if lp.at_end():
+        if self.at_end(i):
             cbes = (CBE_ID,) * arity
         else:
-            lp.expect(":")
-            lp.expect("(")
+            i = self.expect(self.expect(i, ":"), "(")
             parsed = []
-            if lp.peek() and lp.peek().text != ")":
-                parsed.append(self._parse_cbe(lp, quantale))
-                while lp.peek() and lp.peek().text == ",":
-                    lp.next()
-                    parsed.append(self._parse_cbe(lp, quantale))
-            lp.expect(")")
+            if tokens[i] and tokens[i] != ")":
+                cbe, i = self.cbe(i, quantale)
+                parsed.append(cbe)
+                while tokens[i] == ",":
+                    cbe, i = self.cbe(i + 1, quantale)
+                    parsed.append(cbe)
+            i = self.expect(i, ")")
             if len(parsed) != arity:
-                lp.error(f"arity mismatch: {_quote(name)} declared /{arity} but "
-                         f"{len(parsed)} argument CBEs given", tok)
+                self.fail(f"arity mismatch: {_quote(name)} declared /{arity} but "
+                          f"{len(parsed)} argument CBEs given", at)
             cbes = tuple(parsed)
         self.symbols[name] = cbes
+        return i
 
-    def _parse_cbe(self, lp: _LineParser, quantale: Quantale) -> Cbe:
-        tok = lp.next("a CBE literal")
-        if tok.text == "id":
-            return CBE_ID
-        if tok.text == "const":
-            return CBE_CONST
-        if tok.text in ("scale", "pow"):
-            lp.expect("(")
-            arg = lp.next("a number")
-            lp.expect(")")
+    def cbe(self, i: int, quantale: Quantale) -> tuple[Cbe, int]:
+        word = self.token(i, "a CBE literal")
+        if word == "id":
+            return CBE_ID, i + 1
+        if word == "const":
+            return CBE_CONST, i + 1
+        if word in ("scale", "pow"):
+            at = self.expect(i + 1, "(")
+            number = self.token(at, "a number")
+            end = self.expect(at + 1, ")")
             try:
-                cbe = (CbePow(_whole_number(lp, arg, "pow exponent", MAX_POW))
-                       if tok.text == "pow"
-                       else CbeScale(read_number(arg.text, f"scale factor {_quote(arg.text)}")))
+                cbe = (CbePow(self.whole_number(at, "pow exponent", MAX_POW))
+                       if word == "pow"
+                       else CbeScale(read_number(number, f"scale factor {_quote(number)}")))
             except QuantaleError as exc:
-                lp.error(str(exc), arg)
+                self.fail(str(exc), at)
             if not cbe_admissible(quantale, cbe):
-                lp.error(f"CBE {tok.text!r} is not admitted by {quantale.value}", tok)
-            return cbe
-        lp.error(f"expected a CBE literal (id, const, scale(c), pow(n)), "
-                 f"found {_quote(tok.text)}", tok)
+                self.fail(f"CBE {word!r} is not admitted by {quantale.value}", i)
+            return cbe, end
+        self.fail(f"expected a CBE literal (id, const, scale(c), pow(n)), "
+                  f"found {_quote(word)}", i)
 
-    def _parse_degree(self, lp: _LineParser, quantale: Quantale) -> QuantaleValue:
-        tok = lp.next("a degree")
-        try:
-            return quantale.parse_degree(tok.text)
-        except CarrierError as exc:
-            lp.error(f"inadmissible degree: {exc}", tok)
+    def degree(self, i: int) -> tuple[QuantaleValue, int]:
+        text = self.tokens[i]
+        degree = self.degrees.get(text)
+        if degree is None:
+            self.token(i, "a degree")
+            try:
+                degree = self.quantale.parse_degree(text)
+            except CarrierError as exc:
+                self.fail(f"inadmissible degree: {exc}", i)
+            self.degrees[text] = degree
+        return degree, i + 1
 
     # -- terms ------------------------------------------------------------
 
-    def _parse_term(self, lp: _LineParser) -> Term:
-        tok = lp.next("a term")
-        if tok.kind == "eq" or tok.text in RESERVED_SYMBOLS:
-            lp.error(f"{_quote(tok.text)} is reserved and cannot appear in terms", tok)
-        if tok.kind != "name":
-            lp.error(f"expected a term, found {_quote(tok.text)}", tok)
-        name = tok.text
-        if name in self.variables:
-            if lp.peek() and lp.peek().text == "(":
-                lp.error(f"variable {_quote(name)} cannot take arguments", tok)
-            return self.variables[name]
-        if name not in self.symbols:
-            lp.error(f"unknown symbol {_quote(name)} (declare functions with 'fun' "
-                     f"and variables with 'var')", tok)
-        arity = len(self.symbols[name])
-        args: list[Term] = []
-        if lp.peek() and lp.peek().text == "(":
-            lp.next()
-            if lp.peek() and lp.peek().text != ")":
-                args.append(self._parse_term(lp))
-                while lp.peek() and lp.peek().text == ",":
-                    lp.next()
-                    args.append(self._parse_term(lp))
-            lp.expect(")")
-        if len(args) != arity:
-            lp.error(f"arity mismatch: {_quote(name)} takes {arity} arguments, "
-                     f"got {len(args)}", tok)
-        return App(name, tuple(args))
+    def term(self, i: int) -> tuple[Term, int]:
+        # The tables hold only names a declaration could make: name tokens,
+        # none reserved (_parse_standalone filters a caller's tables to
+        # those).  So a token found there is a term, and the checks on any
+        # other token run only to say which error it is.
+        tokens = self.tokens
+        name = tokens[i]
+        variable = self.variables.get(name)
+        if variable is not None:
+            if tokens[i + 1] == "(":
+                self.fail(f"variable {_quote(name)} cannot take arguments", i)
+            return variable, i + 1
+        cbes = self.symbols.get(name)
+        if cbes is None:
+            self.not_a_term(i)
+        at = i
+        i += 1
+        args = []
+        if tokens[i] == "(":
+            i += 1
+            if tokens[i] and tokens[i] != ")":
+                arg, i = self.term(i)
+                args.append(arg)
+                while tokens[i] == ",":
+                    arg, i = self.term(i + 1)
+                    args.append(arg)
+            if tokens[i] != ")":
+                self.expect(i, ")")
+            i += 1
+        if len(args) != len(cbes):
+            self.fail(f"arity mismatch: {_quote(name)} takes {len(cbes)} arguments, "
+                      f"got {len(args)}", at)
+        return App(name, tuple(args)), i
 
-    # -- rules and problems ------------------------------------------------
+    def not_a_term(self, i: int) -> NoReturn:
+        name = self.token(i, "a term")
+        if name in RESERVED_SYMBOLS:
+            self.fail(f"{_quote(name)} is reserved and cannot appear in terms", i)
+        if not _NAME_RE.fullmatch(name):
+            self.fail(f"expected a term, found {_quote(name)}", i)
+        self.fail(f"unknown symbol {_quote(name)} (declare functions with 'fun' "
+                  f"and variables with 'var')", i)
 
-    def _parse_rule(self, lp: _LineParser):
-        quantale = self._need_quantale(lp)
-        head = lp.peek()
-        degree = self._parse_degree(lp, quantale)
-        lp.expect(":")
-        lhs = self._parse_term(lp)
-        lp.expect("->")
-        rhs = self._parse_term(lp)
+    # -- rules and problems -----------------------------------------------
+
+    def add_rule(self, i: int) -> int:
+        self.need_quantale()
+        degree, end = self.degree(i)
+        lhs, end = self.term(self.expect(end, ":"))
+        rhs, end = self.term(self.expect(end, "->"))
         try:
             self.rules.append(RewriteRule(degree, lhs, rhs))
         except TrsError as exc:
-            lp.error(str(exc), head)
+            self.fail(str(exc), i)
+        return end
 
-    def _parse_solve(self, lp: _LineParser):
-        quantale = self._need_quantale(lp)
-        left = self._parse_term(lp)
-        eq = lp.next("'=?'")
-        if eq.kind != "eq":
-            lp.error(f"expected '=?', found {_quote(eq.text)}", eq)
-        right = self._parse_term(lp)
+    def add_problem(self, i: int) -> int:
+        self.need_quantale()
+        left, i = self.term(i)
+        right, i = self.term(self.expect(i, "=?"))
         threshold = None
-        if lp.peek() and lp.peek().text == "threshold":
-            lp.next()
-            threshold = self._parse_degree(lp, quantale)
+        if self.tokens[i] == "threshold":
+            threshold, i = self.degree(i + 1)
         self.problems.append(Problem(left, right, threshold))
+        return i
+
+    _DECLARATIONS = {"quantale": declare_quantale, "var": declare_var, "fun": declare_fun,
+                     "rule": add_rule, "solve": add_problem}
 
 
 def parse(text: str, filename: str = "<input>") -> ProblemFile:
-    """Parse the rule-file format; raises GtrsError with a position."""
-    return _Parser(filename).parse(text)
+    """Parse the rule-file format; raises GtrsError with a position.  Lines
+    end at \\n, \\r\\n or \\r."""
+    return _Reader(filename).read(text)
 
 
 def parse_file(path) -> ProblemFile:
-    with open(path, encoding="utf-8") as handle:
-        return parse(handle.read(), filename=str(path))
+    """Parse a UTF-8 rule file; a byte that is not UTF-8 is a GtrsError at
+    its line and column."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = _LINE_END.split(data[:exc.start].decode("utf-8"))
+        raise GtrsError(f"byte 0x{data[exc.start]:02x} is not UTF-8", len(lines),
+                        len(lines[-1]) + 1, str(path)) from None
+    return parse(text, filename=str(path))
 
 
 def _parse_standalone(pf: ProblemFile, text: str, many: bool) -> list[Term]:
-    parser = _Parser("<term>")
-    parser.quantale = pf.quantale
-    parser.variables = {v.name: v for v in pf.variables}
-    parser.symbols = pf.signature.symbols
-    tokens = _tokenize_line(text, 1, "<term>")
-    lp = _LineParser(tokens, 1, "<term>")
-    terms = [parser._parse_term(lp)]
-    while many and lp.peek() and lp.peek().text == ",":
-        lp.next()
-        terms.append(parser._parse_term(lp))
-    if not lp.at_end():
-        lp.error(f"trailing input {_quote(lp.peek().text)}", lp.peek())
+    reader = _Reader("<term>")
+    reader.quantale = pf.quantale
+
+    # only a name the format could declare is read as a variable or symbol
+    def readable(name: str) -> bool:
+        return _NAME_RE.fullmatch(name) is not None and name not in RESERVED_SYMBOLS
+
+    reader.variables = {v.name: v for v in pf.variables if readable(v.name)}
+    reader.symbols = {name: cbes for name, cbes in pf.signature.symbols.items()
+                      if readable(name)}
+    tokens = reader.scan(text, 1)
+    term, i = reader.term(0)
+    terms = [term]
+    while many and tokens[i] == ",":
+        term, i = reader.term(i + 1)
+        terms.append(term)
+    if not reader.at_end(i):
+        reader.fail(f"trailing input {_quote(tokens[i])}", i)
     return terms
 
 

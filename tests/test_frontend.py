@@ -2,29 +2,50 @@
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
-from dataclasses import fields
+import time
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qnarrow import App, GtrsError, Quantale, Substitution, Var, parse, solve
+from qnarrow import App, GtrsError, Quantale, Substitution, Var, parse, solve, vars_of
 from qnarrow.cli import main
 from qnarrow.frontend import (
+    _QUANTALE_NAMES,
     MAX_ARITY,
     MAX_POW,
+    Problem,
     ProblemFile,
+    _quote,
     parse_term_text,
     parse_terms_text,
     render_solution,
     render_trace,
 )
 from qnarrow.narrow import Solution, SolveResult
-from qnarrow.quantale import MAX_LITERAL_DIGITS, cbe_to_str
-from qnarrow.term import Position, position_from_str
+from qnarrow.oracle import SystemConfig, random_linear_problem, random_system
+from qnarrow.quantale import (
+    CBE_CONST,
+    CBE_ID,
+    MAX_LITERAL_DIGITS,
+    CarrierError,
+    Cbe,
+    CbePow,
+    CbeScale,
+    QuantaleError,
+    QuantaleValue,
+    cbe_admissible,
+    cbe_to_str,
+    read_number,
+)
+from qnarrow.rewrite import GradedTrs, RewriteRule, TrsError
+from qnarrow.term import RESERVED_SYMBOLS, Position, Signature, Term, position_from_str
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -56,6 +77,22 @@ def render_problem_file(pf: ProblemFile) -> str:
             line += f" threshold {problem.threshold}"
         lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def random_problem_file(rng: random.Random, q: Quantale) -> ProblemFile:
+    """A random system over q with one linear problem, declaring the
+    variables it uses."""
+    cfg = SystemConfig(quantale=q, n_constants=2, n_unary=1, n_binary=1,
+                       nontrivial_cbes=True)
+    trs = random_system(rng, cfg)
+    left, right = random_linear_problem(rng, trs)
+    threshold = q.unit if rng.random() < 0.5 else None
+    used = set()
+    for rule in trs.rules:
+        used |= vars_of(rule.lhs) | vars_of(rule.rhs)
+    used |= vars_of(left) | vars_of(right)
+    return ProblemFile(q, tuple(sorted(used, key=lambda v: v.name)), trs.signature, trs,
+                       (Problem(left, right, threshold),))
 
 
 def parse_trace_step_header(line: str) -> tuple[str, Optional[Position], Optional[int]]:
@@ -112,31 +149,15 @@ class TestParse:
             parse_term_text(pf, "Z, Z")
 
     def test_random_files_round_trip(self):
-        import random
-        from qnarrow.frontend import Problem, ProblemFile
-        from qnarrow.oracle import SystemConfig, random_system, random_linear_problem
-        from qnarrow import vars_of
-
         rng = random.Random(61)
         for trial in range(100):
             q = list(Quantale)[trial % 5]
-            cfg = SystemConfig(quantale=q, n_constants=2, n_unary=1, n_binary=1,
-                               nontrivial_cbes=True)
-            trs = random_system(rng, cfg)
-            left, right = random_linear_problem(rng, trs)
-            threshold = q.unit if rng.random() < 0.5 else None
-            used = set()
-            for rule in trs.rules:
-                used |= vars_of(rule.lhs) | vars_of(rule.rhs)
-            used |= vars_of(left) | vars_of(right)
-            pf = ProblemFile(q, tuple(sorted(used, key=lambda v: v.name)),
-                             trs.signature, trs,
-                             (Problem(left, right, threshold),))
+            pf = random_problem_file(rng, q)
             rendered = render_problem_file(pf)
             back = parse(rendered)
             assert back.quantale is q
-            assert back.signature == trs.signature
-            assert back.trs.rules == trs.rules
+            assert back.signature == pf.signature
+            assert back.trs.rules == pf.trs.rules
             assert back.problems == pf.problems
             assert render_problem_file(back) == rendered
 
@@ -321,6 +342,39 @@ class TestDiagnostics:
         assert len(str(err.value)) < 200
         assert err.value.message == "trailing input <5000 characters>"
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_lines_end_at_newlines(self, newline):
+        err = expect_error(newline.join(["quantale lawvere", "fun a/0", "rule 1 : b -> a", ""]),
+                           "unknown symbol 'b'")
+        assert (err.line, err.col) == (3, 10)
+
+    @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029"])
+    def test_other_line_breaks_are_whitespace(self, space):
+        """Only \\n, \\r\\n and \\r end a line, as in an editor; the other
+        characters str.splitlines splits at are whitespace inside a line."""
+        err = expect_error(f"quantale lawvere{space}\nfun a/0\nrule 1 : b -> a\n",
+                           "unknown symbol 'b'")
+        assert (err.line, err.col) == (3, 10)
+        # a comment runs on past one to the end of its line
+        assert parse(f"quantale lawvere # note{space}more\nfun a/0\n").signature.symbols \
+            == {"a": ()}
+        # two declarations separated only by one are a single line
+        err = expect_error(f"quantale lawvere\nfun a/0{space}fun b/0\n",
+                           "expected ':', found 'fun'")
+        assert (err.line, err.col) == (2, 9)
+
+    def test_long_blank_runs(self):
+        """Lines that start or end with 100,000 blanks read in linear time
+        (a scanner that matched the blanks before each token would take
+        minutes on the trailing run)."""
+        blanks = " " * 100_000
+        start = time.perf_counter()
+        pf = parse(f"quantale lawvere{blanks}\n{blanks}fun a/0\t{blanks}\n"
+                   f"solve a =? a {blanks}# {blanks}\n")
+        assert time.perf_counter() - start < 5
+        assert pf.problems == (Problem(App("a"), App("a"), None),)
+
     def test_long_count_exits_two(self, capsys):
         """A 5,000-digit search bound is a usage error whose message names it
         by its length; argparse's usage text precedes that message."""
@@ -359,11 +413,13 @@ fuzz_line = st.one_of(
               st.builds(" ".join, st.lists(fuzz_token, max_size=12))))
 
 
+fuzz_header = st.sampled_from(("", "quantale lawvere\n", "quantale fuzzy-product\n",
+                                "quantale lawvere\nvar x y\nfun a/0\nfun f/1\nfun g/2\n"))
+
+
 class TestParseFuzz:
     @settings(max_examples=300, deadline=None)
-    @given(header=st.sampled_from(("", "quantale lawvere\n", "quantale fuzzy-product\n",
-                                   "quantale lawvere\nvar x y\nfun a/0\nfun f/1\nfun g/2\n")),
-           lines=st.lists(fuzz_line, max_size=8))
+    @given(header=fuzz_header, lines=st.lists(fuzz_line, max_size=8))
     @example(header="quantale lawvere\n", lines=["fun f/1 : (scale(1/0))"])
     @example(header="quantale fuzzy-product\n", lines=["fun f/1 : (pow(1/2))"])
     def test_parses_or_raises_gtrs_error(self, header, lines):
@@ -373,6 +429,399 @@ class TestParseFuzz:
             parse(header + "\n".join(lines))
         except GtrsError:
             pass
+
+
+# -- the line parser as it was before the index reader -----------------------
+#
+# Kept verbatim as the reference for `parse`: a `_Token` object per token,
+# whitespace matched as tokens of its own, and a `_LineParser` read through
+# peek() and next().  It splits lines with str.splitlines, so the
+# differential tests below feed it no text with the other line breaks that
+# method knows.
+
+
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>\#.*)
+      | (?P<arrow>->)
+      | (?P<eq>=\?)
+      | (?P<number>[0-9]+(?:/[0-9]+)?)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*|[+*-])
+      | (?P<punct>[(),:;/])
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize_line(text: str, line_no: int, filename: str) -> list[_Token]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise GtrsError(f"unexpected character {text[pos]!r}", line_no, pos + 1,
+                            filename)
+        kind = m.lastgroup
+        if kind == "comment":
+            break
+        if kind != "ws":
+            tokens.append(_Token(kind, m.group(), line_no, m.start() + 1))
+        pos = m.end()
+    return tokens
+
+
+class _LineParser:
+    def __init__(self, tokens: list[_Token], line_no: int, filename: str):
+        self.tokens = tokens
+        self.i = 0
+        self.line = line_no
+        self.filename = filename
+
+    def error(self, message: str, token: Optional[_Token] = None):
+        col = token.col if token else (self.tokens[-1].col if self.tokens else 1)
+        raise GtrsError(message, self.line, col, self.filename)
+
+    def peek(self) -> Optional[_Token]:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self, expected: Optional[str] = None) -> _Token:
+        tok = self.peek()
+        if tok is None:
+            self.error(f"unexpected end of line (expected {expected})"
+                       if expected else "unexpected end of line")
+        self.i += 1
+        return tok
+
+    def expect(self, text: str) -> _Token:
+        tok = self.next(expected=repr(text))
+        if tok.text != text:
+            self.error(f"expected {text!r}, found {_quote(tok.text)}", tok)
+        return tok
+
+    def at_end(self) -> bool:
+        # a trailing semicolon is tolerated on every line
+        return self.i >= len(self.tokens) or (
+            self.i == len(self.tokens) - 1 and self.tokens[self.i].text == ";")
+
+
+def _whole_number(lp: _LineParser, tok: _Token, what: str, limit: int) -> int:
+    """A whole-number token at most limit, its digits counted before it is read."""
+    if tok.kind != "number" or "/" in tok.text:
+        lp.error(f"{what} must be a whole number, found {_quote(tok.text)}", tok)
+    value = read_number(tok.text, what) if len(tok.text.lstrip("0")) <= len(str(limit)) else None
+    if value is None or value > limit:
+        lp.error(f"{what} exceeds the limit of {limit}", tok)
+    return int(value)
+
+
+class _Parser:
+    def __init__(self, filename: str):
+        self.filename = filename
+        self.quantale: Optional[Quantale] = None
+        self.variables: dict[str, Var] = {}
+        self.symbols: dict[str, tuple[Cbe, ...]] = {}
+        self.rules: list[RewriteRule] = []
+        self.problems: list[Problem] = []
+
+    # -- declarations -----------------------------------------------------
+
+    def parse(self, text: str) -> ProblemFile:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            tokens = _tokenize_line(raw, line_no, self.filename)
+            if not tokens:
+                continue
+            lp = _LineParser(tokens, line_no, self.filename)
+            head = lp.next()
+            handler = {
+                "quantale": self._parse_quantale,
+                "var": self._parse_var,
+                "fun": self._parse_fun,
+                "rule": self._parse_rule,
+                "solve": self._parse_solve,
+            }.get(head.text)
+            if handler is None:
+                lp.error(f"unknown declaration {_quote(head.text)}", head)
+            handler(lp)
+            if not lp.at_end():
+                lp.error(f"trailing input {_quote(lp.peek().text)}", lp.peek())
+        if self.quantale is None:
+            raise GtrsError("missing quantale declaration", 1, 1, self.filename)
+        signature = Signature(self.quantale, self.symbols)
+        trs = GradedTrs(signature, self.rules)
+        return ProblemFile(self.quantale, tuple(self.variables.values()),
+                           signature, trs, tuple(self.problems))
+
+    def _need_quantale(self, lp: _LineParser) -> Quantale:
+        if self.quantale is None:
+            lp.error("quantale must be declared first")
+        return self.quantale
+
+    def _parse_quantale(self, lp: _LineParser):
+        if self.quantale is not None:
+            lp.error("duplicate quantale declaration")
+        parts = []
+        while not lp.at_end():
+            parts.append(lp.next().text)
+        name = "".join(parts)
+        if name not in _QUANTALE_NAMES:
+            lp.error(f"unknown quantale {_quote(name)} (expected one of "
+                     f"{', '.join(sorted(_QUANTALE_NAMES))})")
+        self.quantale = _QUANTALE_NAMES[name]
+
+    def _parse_var(self, lp: _LineParser):
+        any_seen = False
+        while not lp.at_end():
+            tok = lp.next()
+            if tok.kind != "name":
+                lp.error(f"expected a variable name, found {_quote(tok.text)}", tok)
+            if tok.text in RESERVED_SYMBOLS:
+                lp.error(f"{_quote(tok.text)} is reserved", tok)
+            if tok.text in self.variables or tok.text in self.symbols:
+                lp.error(f"{_quote(tok.text)} already declared", tok)
+            self.variables[tok.text] = Var(tok.text)
+            any_seen = True
+        if not any_seen:
+            lp.error("empty variable declaration")
+
+    def _parse_fun(self, lp: _LineParser):
+        quantale = self._need_quantale(lp)
+        tok = lp.next("a function symbol")
+        if tok.kind != "name":
+            lp.error(f"expected a function symbol, found {_quote(tok.text)}", tok)
+        name = tok.text
+        if name in RESERVED_SYMBOLS:
+            lp.error(f"{_quote(name)} is reserved", tok)
+        if name in self.symbols or name in self.variables:
+            lp.error(f"{_quote(name)} already declared", tok)
+        lp.expect("/")
+        arity_tok = lp.next("an arity")
+        arity = _whole_number(lp, arity_tok, "arity", MAX_ARITY)
+        cbes: tuple[Cbe, ...]
+        if lp.at_end():
+            cbes = (CBE_ID,) * arity
+        else:
+            lp.expect(":")
+            lp.expect("(")
+            parsed = []
+            if lp.peek() and lp.peek().text != ")":
+                parsed.append(self._parse_cbe(lp, quantale))
+                while lp.peek() and lp.peek().text == ",":
+                    lp.next()
+                    parsed.append(self._parse_cbe(lp, quantale))
+            lp.expect(")")
+            if len(parsed) != arity:
+                lp.error(f"arity mismatch: {_quote(name)} declared /{arity} but "
+                         f"{len(parsed)} argument CBEs given", tok)
+            cbes = tuple(parsed)
+        self.symbols[name] = cbes
+
+    def _parse_cbe(self, lp: _LineParser, quantale: Quantale) -> Cbe:
+        tok = lp.next("a CBE literal")
+        if tok.text == "id":
+            return CBE_ID
+        if tok.text == "const":
+            return CBE_CONST
+        if tok.text in ("scale", "pow"):
+            lp.expect("(")
+            arg = lp.next("a number")
+            lp.expect(")")
+            try:
+                cbe = (CbePow(_whole_number(lp, arg, "pow exponent", MAX_POW))
+                       if tok.text == "pow"
+                       else CbeScale(read_number(arg.text, f"scale factor {_quote(arg.text)}")))
+            except QuantaleError as exc:
+                lp.error(str(exc), arg)
+            if not cbe_admissible(quantale, cbe):
+                lp.error(f"CBE {tok.text!r} is not admitted by {quantale.value}", tok)
+            return cbe
+        lp.error(f"expected a CBE literal (id, const, scale(c), pow(n)), "
+                 f"found {_quote(tok.text)}", tok)
+
+    def _parse_degree(self, lp: _LineParser, quantale: Quantale) -> QuantaleValue:
+        tok = lp.next("a degree")
+        try:
+            return quantale.parse_degree(tok.text)
+        except CarrierError as exc:
+            lp.error(f"inadmissible degree: {exc}", tok)
+
+    # -- terms ------------------------------------------------------------
+
+    def _parse_term(self, lp: _LineParser) -> Term:
+        tok = lp.next("a term")
+        if tok.kind == "eq" or tok.text in RESERVED_SYMBOLS:
+            lp.error(f"{_quote(tok.text)} is reserved and cannot appear in terms", tok)
+        if tok.kind != "name":
+            lp.error(f"expected a term, found {_quote(tok.text)}", tok)
+        name = tok.text
+        if name in self.variables:
+            if lp.peek() and lp.peek().text == "(":
+                lp.error(f"variable {_quote(name)} cannot take arguments", tok)
+            return self.variables[name]
+        if name not in self.symbols:
+            lp.error(f"unknown symbol {_quote(name)} (declare functions with 'fun' "
+                     f"and variables with 'var')", tok)
+        arity = len(self.symbols[name])
+        args: list[Term] = []
+        if lp.peek() and lp.peek().text == "(":
+            lp.next()
+            if lp.peek() and lp.peek().text != ")":
+                args.append(self._parse_term(lp))
+                while lp.peek() and lp.peek().text == ",":
+                    lp.next()
+                    args.append(self._parse_term(lp))
+            lp.expect(")")
+        if len(args) != arity:
+            lp.error(f"arity mismatch: {_quote(name)} takes {arity} arguments, "
+                     f"got {len(args)}", tok)
+        return App(name, tuple(args))
+
+    # -- rules and problems ------------------------------------------------
+
+    def _parse_rule(self, lp: _LineParser):
+        quantale = self._need_quantale(lp)
+        head = lp.peek()
+        degree = self._parse_degree(lp, quantale)
+        lp.expect(":")
+        lhs = self._parse_term(lp)
+        lp.expect("->")
+        rhs = self._parse_term(lp)
+        try:
+            self.rules.append(RewriteRule(degree, lhs, rhs))
+        except TrsError as exc:
+            lp.error(str(exc), head)
+
+    def _parse_solve(self, lp: _LineParser):
+        quantale = self._need_quantale(lp)
+        left = self._parse_term(lp)
+        eq = lp.next("'=?'")
+        if eq.kind != "eq":
+            lp.error(f"expected '=?', found {_quote(eq.text)}", eq)
+        right = self._parse_term(lp)
+        threshold = None
+        if lp.peek() and lp.peek().text == "threshold":
+            lp.next()
+            threshold = self._parse_degree(lp, quantale)
+        self.problems.append(Problem(left, right, threshold))
+
+
+def reference_parse(text: str, filename: str = "<input>") -> ProblemFile:
+    """Parse the rule-file format; raises GtrsError with a position."""
+    return _Parser(filename).parse(text)
+
+
+def reference_parse_standalone(pf: ProblemFile, text: str, many: bool) -> list[Term]:
+    parser = _Parser("<term>")
+    parser.quantale = pf.quantale
+    parser.variables = {v.name: v for v in pf.variables}
+    parser.symbols = pf.signature.symbols
+    tokens = _tokenize_line(text, 1, "<term>")
+    lp = _LineParser(tokens, 1, "<term>")
+    terms = [parser._parse_term(lp)]
+    while many and lp.peek() and lp.peek().text == ",":
+        lp.next()
+        terms.append(parser._parse_term(lp))
+    if not lp.at_end():
+        lp.error(f"trailing input {_quote(lp.peek().text)}", lp.peek())
+    return terms
+
+
+
+def outcome(read, text: str):
+    """What a parser makes of text: the file's contents, or its error."""
+    try:
+        pf = read(text)
+    except GtrsError as err:
+        return err.message, err.line, err.col, err.filename
+    return pf.quantale, pf.variables, pf.signature, pf.trs.rules, pf.problems
+
+
+def deep_text(depth: int) -> str:
+    return f"quantale lawvere\nvar x\nfun Z/0\nfun S/1\nsolve x =? {'S(' * depth}Z{')' * depth}\n"
+
+
+def deepest(read) -> int:
+    """The deepest S(...S(Z)) that read accepts, called from here."""
+    low, high = 1, 5000
+    while low < high:
+        mid = (low + high + 1) // 2
+        try:
+            read(mid)
+            low = mid
+        except RecursionError:
+            high = mid - 1
+    return low
+
+
+# standalone term text against PEANO_TEXT's declarations
+TERM_PIECES = ("S", "Z", "+", "x", "y", "(", ")", ",", " ", "#", "\n", ";", "@", "=?",
+               "true", "1", "q", "->")
+
+
+class TestReferenceParser:
+    """`parse` and the standalone term readers against the line parser they
+    replaced: equal contents, or an error with the same message, line and
+    column."""
+
+    def test_demo_files_and_their_prefixes(self):
+        for path in sorted(DEMOS.glob("*.gtrs")):
+            text = path.read_text()
+            for cut in (*range(0, len(text), 3), len(text)):
+                assert outcome(parse, text[:cut]) == outcome(reference_parse, text[:cut]), \
+                    (path.name, cut)
+
+    @settings(max_examples=300, deadline=None)
+    @given(header=fuzz_header, lines=st.lists(fuzz_line, max_size=8))
+    def test_fuzz_lines(self, header, lines):
+        text = header + "\n".join(lines)
+        assert outcome(parse, text) == outcome(reference_parse, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_systems(self, seed, data):
+        """A random system as rendered, and with one fuzz token spliced in."""
+        rng = random.Random(seed)
+        text = render_problem_file(random_problem_file(rng, rng.choice(list(Quantale))))
+        assert outcome(parse, text) == outcome(reference_parse, text)
+        at = data.draw(st.integers(0, len(text)))
+        spliced = text[:at] + data.draw(fuzz_token) + text[at:]
+        assert outcome(parse, spliced) == outcome(reference_parse, spliced)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(TERM_PIECES), max_size=14), many=st.booleans())
+    def test_standalone_terms(self, pieces, many):
+        pf = parse(PEANO_TEXT)
+        text = "".join(pieces)
+
+        def read(reader):
+            try:
+                return reader(text)
+            except GtrsError as err:
+                return err.message, err.line, err.col, err.filename
+
+        new = read(lambda t: parse_terms_text(pf, t) if many else (parse_term_text(pf, t),))
+        old = read(lambda t: tuple(reference_parse_standalone(pf, t, many)))
+        assert new == old
+
+    def test_depth_not_below_the_reference(self):
+        """A term as deep as the replaced parser reads, called from the same
+        frame, still parses: the reader spends no more stack per level."""
+        depth = deepest(lambda n: reference_parse(deep_text(n)))
+        term = parse(deep_text(depth)).problems[0].right
+        for _ in range(depth):
+            (term,) = term.args
+        assert term == App("Z")
+        pf = parse(PEANO_TEXT)
+        text = "{}Z{}".format
+        depth = deepest(lambda n: reference_parse_standalone(pf, text("S(" * n, ")" * n), False))
+        assert parse_term_text(pf, text("S(" * depth, ")" * depth))
 
 
 class TestRendering:
@@ -577,6 +1026,22 @@ class TestCli:
         assert proc.stdout == ""
         assert proc.stderr == (f"error: {path}:2:18: scale factor '1/0' "
                                "has a zero denominator\n")
+
+    @pytest.mark.parametrize("data, position, byte", [
+        (b"quantale lawvere\nfun a/0\nrule 1 : a -> a \xff\n", (3, 17), 0xff),
+        (b"quantale lawvere # \xc3\xa9\xc3\xa9\nfun a/0 \xe9\n", (2, 9), 0xe9),
+        (b"quantale lawvere\r\n# \xc3\xa9\rfun a/0\r\n\x80", (4, 1), 0x80),
+    ], ids=["latin", "columns-in-characters", "crlf-and-cr"])
+    def test_non_utf8_file_exits_two(self, data, position, byte, tmp_path, capsys):
+        """A byte that is not UTF-8 is an input error at its line and column,
+        counted in characters, not a traceback."""
+        path = tmp_path / "notutf8.gtrs"
+        path.write_bytes(data)
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        line, col = position
+        assert captured.err == f"error: {path}:{line}:{col}: byte 0x{byte:02x} is not UTF-8\n"
 
     def test_two_nested_pows_still_print(self, tmp_path, capsys):
         path = tmp_path / "nestedpow.gtrs"
