@@ -201,10 +201,10 @@ class _Reader:
         text = self.tokens[i]
         if not text.isdecimal():
             self.fail(f"{what} must be a whole number, found {_quote(text)}", i)
-        value = read_number(text, what) if len(text.lstrip("0")) <= len(str(limit)) else None
-        if value is None or value > limit:
+        digits = text.lstrip("0") or "0"
+        if len(digits) > len(str(limit)) or int(digits) > limit:
             self.fail(f"{what} exceeds the limit of {limit}", i)
-        return int(value)
+        return int(digits)
 
     # -- declarations -----------------------------------------------------
 
@@ -389,15 +389,17 @@ def parse(text: str, filename: str = "<input>") -> ProblemFile:
 
 
 def parse_file(path) -> ProblemFile:
-    """Parse a UTF-8 rule file; a byte that is not UTF-8 is a GtrsError at
-    its line and column."""
+    """Parse a UTF-8 rule file, which may start with a byte-order mark; a
+    byte that is not UTF-8 is a GtrsError at its line and column."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        lines = _LINE_END.split(data[:exc.start].decode("utf-8"))
-        raise GtrsError(f"byte 0x{data[exc.start]:02x} is not UTF-8", len(lines),
+        # the bytes after the mark, if any, and the offset in them
+        data, start = exc.object, exc.start
+        lines = _LINE_END.split(data[:start].decode("utf-8"))
+        raise GtrsError(f"byte 0x{data[start]:02x} is not UTF-8", len(lines),
                         len(lines[-1]) + 1, str(path)) from None
     return parse(text, filename=str(path))
 

@@ -352,10 +352,8 @@ ORDERS = ("bfs", "best-first")
 # decides only when SU runs, so it is read only where a popped node is
 # finished: eager's substitution is the solved form, as SU follows every LP,
 # while lazy's is the identity until the one SU of `finish` discharges the
-# frames' equations by `mgu`.  `finish` first looks, read-only, for a symbol
-# clash between the goal equation's sides under the solved form, which
-# rejects most failing nodes before the solved form is copied.  Idempotent
-# substitutions are materialized only for emitted solutions.
+# frames' equations by `mgu`.  Idempotent substitutions are materialized
+# only for emitted solutions.
 #
 # Everything the search memoizes lives in tables local to one `solve` call
 # and dies with it:
@@ -386,17 +384,18 @@ ORDERS = ("bfs", "best-first")
 # solutions by them, up to renaming, as two eager nodes do.
 #
 # Few built nodes ever meet another of their key, so a node is keyed only
-# once a second node with its fingerprint arrives.  A key begins with the
-# fingerprint, so equal keys have equal fingerprints.  The first arrival of
-# a fingerprint is queued unkeyed and remembered; the second keys it into
-# `seen` at its own depth before keying itself, and every later arrival of
-# that fingerprint is keyed (the start's from the outset).  So `seen`
-# answers every lookup as if every node were keyed on arrival.  It maps a
-# key to the queue entry of its least-depth arrival.  Under best-first a
-# shallower arrival may come after a deeper one was queued: it supersedes
-# that entry, whose node is cleared and skipped at pop (counted as merged).
-# bfs pops by depth, so nothing is ever superseded there.  Nodes are never
-# mutated once built: `successors` and `finish` copy `solved` first.
+# once a second node with its fingerprint arrives.  One table, `states`,
+# maps a fingerprint to the queue entry of its lone first arrival, queued
+# unkeyed, or, once a second node arrives (the start's from the outset), to
+# a dict from state key to entry; the second arrival keys the first at its
+# own depth before keying itself.  A state is its fingerprint and its key,
+# so the table answers every lookup as if every node were keyed on
+# arrival, and each state's entry is that of its least-depth arrival.
+# Under best-first a shallower arrival may come after a deeper one was
+# queued: it supersedes that entry, whose node is cleared and skipped at
+# pop (counted as merged).  bfs pops by depth, so nothing is ever
+# superseded there.  Nodes are never mutated once built: `successors` and
+# `finish` copy `solved` first.
 #
 # Independent LP steps are generated in one order only.  Two LP steps at
 # disjoint positions commute: the goal is never instantiated, a step at p
@@ -413,7 +412,7 @@ ORDERS = ("bfs", "best-first")
 #     inverted disjoint pair.  Its prefixes pass the threshold (the tensor
 #     is deflationary) and unify (their equations are a subset of the
 #     final ones), so the canonical derivation is one the search may take;
-#   - `seen` keeps one arrival per key, at its least depth, and drops the
+#   - `states` keeps one arrival per state, at its least depth, and drops the
 #     others, which may skip other steps; no step is lost.  Write N.q for N
 #     followed by the LP at q.  Let N be built by an LP at p from M, and let
 #     N skip an LP step q (q > p, disjoint).  Disjoint steps commute, so N.q
@@ -426,7 +425,7 @@ ORDERS = ("bfs", "best-first")
 #     repeats from T's parent, with p pending.  The pending position
 #     strictly falls (q > p > p' > ...) in a finite set of positions, so the
 #     chain ends.  So every state the unrestricted search reaches is reached
-#     at the same least depth, whichever arrival `seen` keeps;
+#     at the same least depth, whichever arrival `states` keeps;
 #   - the depth-cut probe in `solve` stays unrestricted: a commuted step at the
 #     bound still marks a branch the bound cut.
 #
@@ -539,11 +538,12 @@ def _identity_functions(problem_vars: frozenset[Var]):
     fingerprint is the goal's shape with every variable collapsed (interned
     as a small int by symbol and argument shapes, and walked in full: a memo
     by term value costs more on goals this small and recurses deeper) and
-    the degree.  A key begins with the fingerprint and adds what it leaves
-    out: the goal's variables in preorder (the goal is not resolved, as its
-    skeleton decides where LP may fire), then the solved form on the problem
-    variables and the goal's, resolved, with fresh variables renamed by
-    first occurrence; a problem variable stands for itself."""
+    the degree.  A key holds what the fingerprint leaves out, so two nodes
+    are one state when both agree: the goal's variables in preorder (the
+    goal is not resolved, as its skeleton decides where LP may fire), then
+    the solved form on the problem variables and the goal's, resolved, with
+    fresh variables renamed by first occurrence; a problem variable stands
+    for itself."""
     markers = [(x, ("=pv", x.name))
                for x in sorted(problem_vars, key=lambda v: (v.name, v.index))]
     shape_ids: dict[tuple, int] = {}
@@ -563,9 +563,9 @@ def _identity_functions(problem_vars: frozenset[Var]):
     def fingerprint(node: _Node) -> tuple:
         return shape(node.goal), node.degree
 
-    def node_key(node: _Node, fp: tuple) -> tuple:
+    def node_key(node: _Node) -> tuple:
         bindings = node.solved
-        out = list(fp)
+        out: list = []
         append = out.append
         slots: dict[Var, int] = {}
         order: list[Var] = []
@@ -643,7 +643,8 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     The order picks the queued configuration expanded next: "bfs" the one
     with the fewest LP steps, "best-first" the one with the best degree, and
     among equals the one queued first.  max_solutions=0 returns no solution;
-    a negative bound raises NarrowError before the search starts.
+    a negative bound, or a strategy or order not in STRATEGIES or ORDERS,
+    raises NarrowError (a ValueError) before the search starts.
     Configurations whose constraint set has no unifier are dropped the
     moment they arise (the clash rule cannot be outrun: constraint sets only
     grow).  Problem terms must use declared symbols with their declared
@@ -654,9 +655,9 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     check_terms(trs.signature, (t, s), "problem term")
     check_threshold(trs, threshold)
     if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise NarrowError(f"unknown strategy {strategy!r}")
     if order not in ORDERS:
-        raise ValueError(f"unknown order {order!r}")
+        raise NarrowError(f"unknown order {order!r}")
     for name, bound in (("max_steps", max_steps), ("max_solutions", max_solutions),
                         ("max_configs", max_configs)):
         if bound is not None and bound < 0:
@@ -721,30 +722,6 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                 return False
         return True
 
-    def clashes(left: Term, right: Term, bindings: Bindings) -> bool:
-        """Read-only refutation test: True means the two terms resolved under
-        the bindings differ in a symbol at some position they share, so they
-        have no unifier."""
-        stack = [(left, right)]
-        while stack:
-            a, b = stack.pop()
-            while isinstance(a, Var):
-                nxt = bindings.get(a)
-                if nxt is None:
-                    break
-                a = nxt
-            while isinstance(b, Var):
-                nxt = bindings.get(b)
-                if nxt is None:
-                    break
-                b = nxt
-            if isinstance(a, Var) or isinstance(b, Var) or a is b:
-                continue
-            if a.symbol != b.symbol or len(a.args) != len(b.args):
-                return True
-            stack.extend(zip(a.args, b.args))
-        return False
-
     def lp_candidates(node: _Node):
         """(position, rule index, rule, redex, degree factor); the position
         grade is accumulated along the traversal, and `compatible` compares
@@ -780,11 +757,11 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     stopped = "exhausted"
     eager = strategy == "eager-su"
 
-    def successors(node: _Node, after: Position) -> Iterator[tuple[_Node, Position]]:
-        """The LP successors of a node, each with its LP position.  `after`
-        is the LP position the node was queued with; LP steps that commute
-        before it are skipped."""
+    def successors(node: _Node) -> Iterator[_Node]:
+        """The LP successors of a node.  LP steps that commute before the
+        node's own last LP step are skipped."""
         nonlocal skipped, threshold_pruned, clash_pruned
+        after = node.frames[-1][0] if node.frames else ROOT
         for p, i, rule, sub, factor in lp_candidates(node):
             new_degree = step(node.degree, factor)
             if new_degree is None:
@@ -801,15 +778,13 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                 continue
             goal = replace_at(node.goal, p, rhs)
             frame = (p, i, rule, first, sub, goal, solved, new_degree)
-            yield _Node(goal, new_degree, solved, node.frames + (frame,)), p
+            yield _Node(goal, new_degree, solved, node.frames + (frame,))
 
     def finish(node: _Node) -> None:
         """Con on the goal equation (no rule has the head =?), then one SU,
         emitted when the equation unifies with the node's solved form.  Eager
         takes that SU from the solved form, lazy from the mgu of its frames'
         equations and the goal equation."""
-        if clashes(*node.goal.args, node.solved):
-            return
         solved = dict(node.solved)
         if not unifiable((node.goal.args,), solved):
             return
@@ -822,19 +797,16 @@ def solve(trs: GradedTrs, t: Term, s: Term,
         if key not in emitted:
             emitted[key] = Solution(restricted, node.degree, _node_trace(node, final, eager))
 
-    # One frontier for both orders: a heap of [priority, arrival, node, depth,
-    # LP position] entries.  `built` stamps arrivals, so equal priorities pop
-    # FIFO; a superseded entry's node is None.
+    # One frontier for both orders: a heap of [priority, arrival, depth, node]
+    # entries.  `built` stamps arrivals, so equal priorities pop FIFO; a
+    # superseded entry's node is None.
     by_depth = order == "bfs"
-    start_entry = [0 if by_depth else quantale.sort_key(start.degree), 0, start, 0, ROOT]
-    start_fp = fingerprint(start)
-    seen: dict[object, list] = {node_key(start, start_fp): start_entry}
-    # fingerprint -> entry of its unkeyed first arrival, or None once its
-    # nodes are keyed
-    firsts: dict[tuple, Optional[list]] = {start_fp: None}
+    start_entry = [0 if by_depth else quantale.sort_key(start.degree), 0, 0, start]
+    # fingerprint -> its lone unkeyed arrival's entry, or {state key: entry}
+    states: dict[tuple, object] = {fingerprint(start): {node_key(start): start_entry}}
     frontier = [start_entry]
     while frontier:
-        _, _, node, depth, after = heapq.heappop(frontier)
+        _, _, depth, node = heapq.heappop(frontier)
         if node is None:  # superseded by a shallower arrival of its state
             merged += 1
             continue
@@ -860,28 +832,27 @@ def solve(trs: GradedTrs, t: Term, s: Term,
                     depth_cut = True
             continue
         new_depth = depth + 1
-        for nxt, last in successors(node, after):
+        for nxt in successors(node):
             built += 1
             entry = [new_depth if by_depth else quantale.sort_key(nxt.degree),
-                     built, nxt, new_depth, last]
+                     built, new_depth, nxt]
             fp = fingerprint(nxt)
-            first = firsts.get(fp, _UNSEEN)
-            if first is _UNSEEN:  # alone with its fingerprint: queued unkeyed
-                firsts[fp] = entry
+            keys = states.get(fp)
+            if keys is None:  # alone with its fingerprint: queued unkeyed
+                states[fp] = entry
             else:
-                if first is not None:  # the second arrival keys the first
-                    firsts[fp] = None
-                    seen[node_key(first[2], fp)] = first
+                if type(keys) is list:  # the second arrival keys the first
+                    keys = states[fp] = {node_key(keys[3]): keys}
                     keyed += 1
-                key = node_key(nxt, fp)
+                key = node_key(nxt)
                 keyed += 1
-                known = seen.get(key)
+                known = keys.get(key)
                 if known is not None:
-                    if known[3] <= new_depth:
+                    if known[2] <= new_depth:
                         merged += 1
                         continue
-                    known[2] = None  # supersede the deeper arrival
-                seen[key] = entry
+                    known[3] = None  # supersede the deeper arrival
+                keys[key] = entry
             heapq.heappush(frontier, entry)
             frontier_peak = max(frontier_peak, len(frontier))
 

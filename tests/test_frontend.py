@@ -229,8 +229,11 @@ class TestDiagnostics:
 
     def test_arity_limit(self):
         """An arity above MAX_ARITY is rejected at its token, before any
-        per-argument table is built; one with 5,000 digits too."""
-        assert parse(f"quantale lawvere\nfun f/{MAX_ARITY}\nfun g/002\n").signature
+        per-argument table is built; one with 5,000 digits too.  Leading
+        zeros do not count, however many there are."""
+        signature = parse(f"quantale lawvere\nfun f/{MAX_ARITY}\nfun g/002\n"
+                          f"fun h/{'0' * 5000}1\nfun k/{'0' * 5000}\n").signature
+        assert (len(signature.arity("h")), len(signature.arity("k"))) == (1, 0)
         for arity in (MAX_ARITY + 1, 10**15, "1" * 5000):
             err = expect_error(f"quantale lawvere\nfun f/{arity}\n",
                                f"arity exceeds the limit of {MAX_ARITY}")
@@ -241,7 +244,8 @@ class TestDiagnostics:
         any degree is raised to it; one with 5,000 digits too."""
         header = "quantale fuzzy-product\nfun a/0\n"
         assert parse(header + f"fun f/1 : (pow({MAX_POW}))\n"
-                     f"fun g/1 : (pow(0{MAX_POW}))\n").signature
+                     f"fun g/1 : (pow(0{MAX_POW}))\n"
+                     f"fun h/1 : (pow({'0' * 5000}2))\n").signature
         for exponent in (MAX_POW + 1, 100000, "1" * 5000):
             err = expect_error(header + f"fun f/1 : (pow({exponent}))\n",
                                f"pow exponent exceeds the limit of {MAX_POW}")
@@ -1031,7 +1035,9 @@ class TestCli:
         (b"quantale lawvere\nfun a/0\nrule 1 : a -> a \xff\n", (3, 17), 0xff),
         (b"quantale lawvere # \xc3\xa9\xc3\xa9\nfun a/0 \xe9\n", (2, 9), 0xe9),
         (b"quantale lawvere\r\n# \xc3\xa9\rfun a/0\r\n\x80", (4, 1), 0x80),
-    ], ids=["latin", "columns-in-characters", "crlf-and-cr"])
+        (b"\xef\xbb\xbfquantale lawvere\nfun a/0 \xff\n", (2, 9), 0xff),
+        (b"\xef\xbb\xbf\xff", (1, 1), 0xff),
+    ], ids=["latin", "columns-in-characters", "crlf-and-cr", "after-mark", "first-after-mark"])
     def test_non_utf8_file_exits_two(self, data, position, byte, tmp_path, capsys):
         """A byte that is not UTF-8 is an input error at its line and column,
         counted in characters, not a traceback."""
@@ -1042,6 +1048,26 @@ class TestCli:
         assert captured.out == ""
         line, col = position
         assert captured.err == f"error: {path}:{line}:{col}: byte 0x{byte:02x} is not UTF-8\n"
+
+    @pytest.mark.parametrize("args, text, code", [
+        (["check"], "quantale lawvere\nfun a/0\n", 0),
+        (["solve", "--max-steps", "12"], (DEMOS / "peano.gtrs").read_text(), 0),
+        (["check"], "quantale lawvere\nrule 1 : g(a) -> a\n", 2),
+        (["check"], "quantale lawvere\nfun a/0 \ufeff\n", 2),
+    ], ids=["check", "solve", "error-position", "mark-inside"])
+    def test_byte_order_mark_is_skipped(self, args, text, code, tmp_path, capsys):
+        """A file that starts with a UTF-8 byte-order mark, as some editors
+        save it, reads as the same file without the mark; a mark anywhere
+        else is an unexpected character."""
+        outputs = []
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            path = tmp_path / name / "file.gtrs"
+            path.parent.mkdir()
+            path.write_bytes(mark + text.encode())
+            assert main([args[0], str(path)] + args[1:]) == code
+            captured = capsys.readouterr()
+            outputs.append((captured.out, captured.err.replace(str(path), "file.gtrs")))
+        assert outputs[0] == outputs[1]
 
     def test_two_nested_pows_still_print(self, tmp_path, capsys):
         path = tmp_path / "nestedpow.gtrs"

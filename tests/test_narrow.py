@@ -630,6 +630,15 @@ class TestSolve:
             with pytest.raises(NarrowError, match=f"{bound} must be non-negative, got -1"):
                 solve(pf.trs, problem.left, problem.right, strategy=strategy, **{bound: -1})
 
+    @pytest.mark.parametrize("argument", ["strategy", "order"])
+    def test_unknown_strategy_or_order_rejected(self, argument):
+        """An unknown strategy or order is a NarrowError, as a negative bound
+        is, and so still a ValueError."""
+        problem = LOOP_FILE.problems[0]
+        with pytest.raises(NarrowError, match=f"unknown {argument} 'iddfs'") as exc:
+            solve(LOOP_FILE.trs, problem.left, problem.right, **{argument: "iddfs"})
+        assert isinstance(exc.value, ValueError)
+
     def test_lazy_bfs_pops_by_lp_depth(self):
         """A popped node is finished at once by Con and one SU, so lazy bfs
         solves x =? a at the start node, the first configuration expanded,
@@ -869,6 +878,58 @@ class TestDemoGolden:
         assert demo_outcome(key) == RECORDED[key]
 
 
+# (configs_expanded, successors_built, duplicates_merged, commuted_skipped,
+# threshold_pruned, clash_pruned, frontier_peak, states_keyed) of each demo
+# problem at each golden setting, recorded from the engine that kept one
+# table of first arrivals and another of keyed states
+DEMO_COUNTERS = {
+    "chain/0/eager-su/bfs/10": (6, 5, 0, 2, 0, 0, 2, 1),
+    "chain/0/lazy/bfs/4": (6, 5, 0, 2, 0, 0, 2, 1),
+    "chain/0/eager-su/best-first/6": (6, 5, 0, 2, 0, 0, 2, 1),
+    "chain/0/lazy/best-first/3": (6, 5, 0, 2, 0, 0, 2, 1),
+    "cubic/0/eager-su/bfs/10": (9, 8, 0, 4, 0, 0, 3, 1),
+    "cubic/0/lazy/bfs/4": (9, 8, 0, 4, 0, 0, 3, 1),
+    "cubic/0/eager-su/best-first/6": (9, 8, 0, 4, 0, 0, 3, 1),
+    "cubic/0/lazy/best-first/3": (8, 7, 0, 3, 0, 0, 3, 1),
+    "fuzzy/0/eager-su/bfs/10": (2, 1, 0, 0, 0, 0, 1, 1),
+    "fuzzy/0/lazy/bfs/4": (2, 1, 0, 0, 0, 0, 1, 1),
+    "fuzzy/0/eager-su/best-first/6": (2, 1, 0, 0, 0, 0, 1, 1),
+    "fuzzy/0/lazy/best-first/3": (2, 1, 0, 0, 0, 0, 1, 1),
+    "innermost/0/eager-su/bfs/10": (3, 2, 0, 0, 0, 0, 2, 1),
+    "innermost/0/lazy/bfs/4": (3, 2, 0, 0, 0, 0, 2, 1),
+    "innermost/0/eager-su/best-first/6": (3, 2, 0, 0, 0, 0, 2, 1),
+    "innermost/0/lazy/best-first/3": (3, 2, 0, 0, 0, 0, 2, 1),
+    "peano/0/eager-su/bfs/10": (1643, 1762, 120, 1115, 2663, 0, 410, 1671),
+    "peano/0/lazy/bfs/4": (141, 146, 6, 78, 28, 0, 76, 104),
+    "peano/0/eager-su/best-first/6": (415, 442, 28, 257, 264, 0, 209, 383),
+    "peano/0/lazy/best-first/3": (68, 68, 1, 34, 4, 0, 44, 37),
+    "unbalanced/0/eager-su/bfs/10": (4, 3, 0, 0, 0, 0, 2, 1),
+    "unbalanced/0/lazy/bfs/4": (4, 3, 0, 0, 0, 0, 2, 1),
+    "unbalanced/0/eager-su/best-first/6": (4, 3, 0, 0, 0, 0, 2, 1),
+    "unbalanced/0/lazy/best-first/3": (4, 3, 0, 0, 0, 0, 2, 1),
+}
+
+
+class TestDemoCounters:
+    """Every counter of `SolveResult` on the demo problems, under bfs and
+    best-first on both strategies: a change to the engine's bookkeeping
+    must count the same work."""
+
+    def test_covers_every_demo_problem(self):
+        assert sorted(DEMO_COUNTERS) == sorted(golden_keys())
+
+    @pytest.mark.parametrize("key", sorted(DEMO_COUNTERS))
+    def test_counters(self, key):
+        stem, index, strategy, order, steps = key.split("/")
+        pf = parse_file(str(DEMOS / f"{stem}.gtrs"))
+        problem = pf.problems[int(index)]
+        result = solve(pf.trs, problem.left, problem.right, threshold=problem.threshold,
+                       strategy=strategy, order=order, max_steps=int(steps))
+        assert (result.configs_expanded, result.successors_built, result.duplicates_merged,
+                result.commuted_skipped, result.threshold_pruned, result.clash_pruned,
+                result.frontier_peak, result.states_keyed) == DEMO_COUNTERS[key]
+
+
 # -- state keys ---------------------------------------------------------------
 
 
@@ -1077,18 +1138,17 @@ def eager_twin(node) -> ReferenceNode:
 
 
 def check_partition(trs, t, s, **kwargs) -> int:
-    """Within one solve, two built states get equal keys exactly when their
-    eager twins get equal reference keys; each key begins with its node's
-    fingerprint, as `solve` computed it.  Returns how many nodes were
-    compared."""
+    """Within one solve, two built nodes are one state, with equal
+    fingerprints (as `solve` computed them) and equal keys, exactly when
+    their eager twins get equal reference keys.  Returns how many nodes
+    were compared."""
     problem_vars = frozenset(vars_of(t) | vars_of(s))
     built = built_nodes(trs, t, s, **kwargs)
     _, node_key = _identity_functions(problem_vars)
     to_reference, to_new = {}, {}
     for node, fingerprint in built:
-        new = node_key(node, fingerprint)
+        new = (fingerprint, node_key(node))
         reference = reference_node_key(eager_twin(node), problem_vars)
-        assert new[:len(fingerprint)] == fingerprint
         assert to_reference.setdefault(new, reference) == reference, \
             (kwargs, "merges states the reference keeps apart")
         assert to_new.setdefault(reference, new) == new, \
