@@ -314,8 +314,12 @@ class SolveResult:
     """The solutions of one `solve` call, why it stopped, and exact counts
     of its work, the same on both strategies, which search the same nodes.
     `states_keyed` counts the state keys computed, the start's included: a
-    built node is keyed only once a second node with its fingerprint
-    arrives, so the count is at most `successors_built` + 1."""
+    node is keyed at most once, only once a second node with its
+    fingerprint is identified, so the count is at most `successors_built`
+    + 1.  On bfs a node built at the step bound that repeats a state is
+    merged only while `max_configs` could still stop the search: elsewhere
+    it is finished again, so `configs_expanded` and `frontier_peak` count
+    it and `duplicates_merged` does not."""
 
     solutions: list[Solution]
     complete: bool
@@ -397,6 +401,24 @@ ORDERS = ("bfs", "best-first")
 # superseded there.  Nodes are never mutated once built: `successors` and
 # `finish` copy `solved` first.
 #
+# A node at the step bound, a leaf, is finished and never expanded, and bfs
+# pops every node below the bound before any leaf.  So bfs queues its
+# leaves unidentified: a leaf that repeats a state only repeats that
+# state's finish, which emits nothing new (nodes of one state finish alike,
+# and the first trace is kept), so no solution, trace or stop point moves.
+# `admit`, which identifies every other node as it is built, identifies a
+# leaf as it pops only where its identity can change an outcome:
+#   - while `max_configs` could still stop the search, that is while the
+#     expanded count plus the queue reaches it, as only distinct states
+#     count against the budget; a leaf that repeats a state is then merged.
+#     That sum never rises while leaves pop, so once short it stays short;
+#   - when the depth-cut probe fires on it: a leaf that repeats a recorded
+#     state cut nothing, and one that repeats an unrecorded leaf gets that
+#     leaf's answer from the probe, which reads only the state.
+# Under best-first a shallower arrival may supersede a leaf, so leaves are
+# identified as they are built there.  The commuted-step argument below
+# reads only the states below the bound, every one of them identified.
+#
 # Independent LP steps are generated in one order only.  Two LP steps at
 # disjoint positions commute: the goal is never instantiated, a step at p
 # leaves the subterm and the grade at a disjoint q unchanged, and every
@@ -412,20 +434,20 @@ ORDERS = ("bfs", "best-first")
 #     inverted disjoint pair.  Its prefixes pass the threshold (the tensor
 #     is deflationary) and unify (their equations are a subset of the
 #     final ones), so the canonical derivation is one the search may take;
-#   - `states` keeps one arrival per state, at its least depth, and drops the
-#     others, which may skip other steps; no step is lost.  Write N.q for N
-#     followed by the LP at q.  Let N be built by an LP at p from M, and let
-#     N skip an LP step q (q > p, disjoint).  Disjoint steps commute, so N.q
-#     is M.q.p up to renaming.  q can be built from M: the subterm and grade
-#     at q are the same there, the threshold passes (the tensor is
-#     deflationary), and M.q's equations are a subset of N.q's.  By
-#     induction on depth, some expanded node T with the key of M.q exists
-#     at depth <= depth(N).  T builds p unless it skips p, that is, unless T
-#     came by an LP at p' with p > p' disjoint; in that case the argument
-#     repeats from T's parent, with p pending.  The pending position
-#     strictly falls (q > p > p' > ...) in a finite set of positions, so the
-#     chain ends.  So every state the unrestricted search reaches is reached
-#     at the same least depth, whichever arrival `states` keeps;
+#   - `states` keeps one arrival per state below the bound, at its least
+#     depth, and drops the others, which may skip other steps; no step is lost
+#     (a leaf takes no step).  Write N.q for N followed by the LP at q.  Let N
+#     be built by an LP at p from M, and let N skip an LP step q (q > p,
+#     disjoint).  Disjoint steps commute, so N.q is M.q.p up to renaming.  q can
+#     be built from M: the subterm and grade at q are the same there, the
+#     threshold passes (the tensor is deflationary), and M.q's equations are a
+#     subset of N.q's.  By induction on depth, some expanded node T with the
+#     key of M.q exists at depth <= depth(N).  T builds p unless it skips p,
+#     that is, unless T came by an LP at p' with p > p' disjoint; in that case
+#     the argument repeats from T's parent, with p pending.  The pending
+#     position strictly falls (q > p > p' > ...) in a finite set of positions,
+#     so the chain ends.  So every state the unrestricted search reaches is
+#     reached at the same least depth, whichever arrival `states` keeps;
 #   - the depth-cut probe in `solve` stays unrestricted: a commuted step at the
 #     bound still marks a branch the bound cut.
 #
@@ -645,6 +667,10 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     among equals the one queued first.  max_solutions=0 returns no solution;
     a negative bound, or a strategy or order not in STRATEGIES or ORDERS,
     raises NarrowError (a ValueError) before the search starts.
+    max_configs bounds the distinct configurations expanded: the search
+    stops at "config-limit" rather than expand one more.  bfs may also
+    finish configurations at the step bound that repeat one, where the
+    bound could no longer stop it; `configs_expanded` counts them.
     Configurations whose constraint set has no unifier are dropped the
     moment they arise (the clash rule cannot be outrun: constraint sets only
     grow).  Problem terms must use declared symbols with their declared
@@ -797,19 +823,56 @@ def solve(trs: GradedTrs, t: Term, s: Term,
         if key not in emitted:
             emitted[key] = Solution(restricted, node.degree, _node_trace(node, final, eager))
 
+    def admit(entry: list) -> bool:
+        """Record a queue entry as an arrival of its node's state; False when
+        another arrival of the state is recorded at no greater depth.  A
+        recorded deeper arrival is superseded."""
+        nonlocal keyed
+        depth, node = entry[2], entry[3]
+        fp = fingerprint(node)
+        keys = states.get(fp)
+        if keys is None:  # alone with its fingerprint: recorded unkeyed
+            states[fp] = entry
+            return True
+        if type(keys) is list:  # the second arrival keys the first
+            keys = states[fp] = {node_key(keys[3]): keys}
+            keyed += 1
+        key = node_key(node)
+        keyed += 1
+        known = keys.get(key)
+        if known is not None:
+            if known[2] <= depth:
+                return False
+            known[3] = None  # supersede the deeper arrival
+        keys[key] = entry
+        return True
+
     # One frontier for both orders: a heap of [priority, arrival, depth, node]
     # entries.  `built` stamps arrivals, so equal priorities pop FIFO; a
-    # superseded entry's node is None.
+    # superseded entry's node is None.  bfs queues the nodes built at the
+    # step bound, its leaves, unidentified.
     by_depth = order == "bfs"
+    # at max_steps=0 the only leaf is the start, identified below
+    leaf_depth = max_steps if by_depth and max_steps else -1
     start_entry = [0 if by_depth else quantale.sort_key(start.degree), 0, 0, start]
     # fingerprint -> its lone unkeyed arrival's entry, or {state key: entry}
     states: dict[tuple, object] = {fingerprint(start): {node_key(start): start_entry}}
     frontier = [start_entry]
     while frontier:
-        _, _, depth, node = heapq.heappop(frontier)
+        entry = heapq.heappop(frontier)
+        _, _, depth, node = entry
         if node is None:  # superseded by a shallower arrival of its state
             merged += 1
             continue
+        # a leaf not yet identified; `admit` takes each leaf at most once
+        unidentified = depth == leaf_depth
+        if (unidentified and max_configs is not None
+                and expanded + len(frontier) >= max_configs):
+            # the budget may yet bind, and only distinct states count
+            unidentified = False
+            if not admit(entry):
+                merged += 1
+                continue
         if max_configs is not None and expanded >= max_configs:
             stopped = "config-limit"
             break
@@ -823,36 +886,25 @@ def solve(trs: GradedTrs, t: Term, s: Term,
             # record whether the bound cut a branch where LP could fire within
             # the threshold (an over-approximation: a compatible redex/rule
             # pair may yet fail unification, and a step whose degree is past
-            # the degree bound counts as firing)
+            # the degree bound counts as firing); an unidentified leaf that
+            # repeats a recorded state cuts nothing
             if not depth_cut:
                 try:
                     depth_cut = any(step(node.degree, c[4]) is not None
                                     for c in lp_candidates(node))
                 except CarrierError:
                     depth_cut = True
+                if depth_cut and unidentified:
+                    depth_cut = admit(entry)
             continue
         new_depth = depth + 1
         for nxt in successors(node):
             built += 1
             entry = [new_depth if by_depth else quantale.sort_key(nxt.degree),
                      built, new_depth, nxt]
-            fp = fingerprint(nxt)
-            keys = states.get(fp)
-            if keys is None:  # alone with its fingerprint: queued unkeyed
-                states[fp] = entry
-            else:
-                if type(keys) is list:  # the second arrival keys the first
-                    keys = states[fp] = {node_key(keys[3]): keys}
-                    keyed += 1
-                key = node_key(nxt)
-                keyed += 1
-                known = keys.get(key)
-                if known is not None:
-                    if known[2] <= new_depth:
-                        merged += 1
-                        continue
-                    known[3] = None  # supersede the deeper arrival
-                keys[key] = entry
+            if new_depth != leaf_depth and not admit(entry):
+                merged += 1
+                continue
             heapq.heappush(frontier, entry)
             frontier_peak = max(frontier_peak, len(frontier))
 

@@ -78,8 +78,15 @@ def test_criterion_1_peano_reproduction(peano):
             (Substitution({X: Z}), L.degree(1)),
             (Substitution({X: S(Z)}), L.degree(1)),
         }
-        # a bound on the work done, exact where wall-clock time is not
-        assert result.configs_expanded <= 2692
+        # a bound on the work done, exact where wall-clock time is not: 2,692
+        # distinct states, and 37 arrivals at the step bound that repeat one
+        assert result.configs_expanded <= 2729
+        # a budget that may bind counts distinct states only
+        for budget, stopped in ((2692, "depth-limit"), (2691, "config-limit")):
+            capped = solve(peano, t, s, threshold=L.degree(1), max_steps=12,
+                           max_configs=budget)
+            assert (capped.stopped, capped.configs_expanded) == (stopped, budget)
+            assert solution_set(capped) == solution_set(result)
         # and through the command line
         code = main(["solve", str(DEMOS / "peano.gtrs"), "--max-steps", "12"])
         assert code == 0
