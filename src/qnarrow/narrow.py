@@ -169,8 +169,11 @@ def derivations(trs: GradedTrs, t: Term, max_steps: int,
                 basic_only: bool = False) -> Iterator[NarrowingDerivation]:
     """Every narrowing derivation from t of length at most max_steps,
     including the empty one; basic_only restricts steps to basic positions.
-    A t that does not fit the signature raises TrsError at the call."""
+    A t that does not fit the signature raises TrsError, and a negative
+    max_steps NarrowError, at the call."""
     check_terms(trs.signature, (t,), "start term")
+    if max_steps < 0:
+        raise NarrowError(f"max_steps must be non-negative, got {max_steps}")
     counter = FreshCounter(
         max_var_index([t] + [s for r in trs.rules for s in (r.lhs, r.rhs)]) + 1)
 
@@ -313,13 +316,13 @@ class Solution:
 class SolveResult:
     """The solutions of one `solve` call, why it stopped, and exact counts
     of its work, the same on both strategies, which search the same nodes.
-    `states_keyed` counts the state keys computed, the start's included: a
-    node is keyed at most once, only once a second node with its
-    fingerprint is identified, so the count is at most `successors_built`
-    + 1.  On bfs a node built at the step bound that repeats a state is
-    merged only while `max_configs` could still stop the search: elsewhere
-    it is finished again, so `configs_expanded` and `frontier_peak` count
-    it and `duplicates_merged` does not."""
+    `states_keyed` counts the state keys computed, one per identified node,
+    the start's included: `successors_built` + 1 under best-first, which
+    identifies every node.  bfs leaves the nodes built at the step bound
+    unidentified and merges one that repeats a state only while
+    `max_configs` could still stop the search: elsewhere it is finished
+    again, so `configs_expanded` and `frontier_peak` count it and
+    `duplicates_merged` does not."""
 
     solutions: list[Solution]
     complete: bool
@@ -366,9 +369,7 @@ ORDERS = ("bfs", "best-first")
 #     (grade id, rule index);
 #   - the degree step (tensor with a factor, then the threshold test) is
 #     memoized by (degree, factor);
-#   - the state identity (`_identity_functions`) interns goal shapes as
-#     small ints by a symbol and the shape ids of its arguments, and sorts
-#     the problem variables once.
+#   - the state key (`_state_key_function`) sorts the problem variables once.
 # LP visits only rules whose left-side head matches the redex, from the
 # system's own `GradedTrs.rules_by_head`, built once per system.
 # Two states get equal keys exactly when their goals, degrees and resolved
@@ -387,19 +388,12 @@ ORDERS = ("bfs", "best-first")
 # So two lazy nodes with equal keys have the same LP steps and reach the same
 # solutions by them, up to renaming, as two eager nodes do.
 #
-# Few built nodes ever meet another of their key, so a node is keyed only
-# once a second node with its fingerprint arrives.  One table, `states`,
-# maps a fingerprint to the queue entry of its lone first arrival, queued
-# unkeyed, or, once a second node arrives (the start's from the outset), to
-# a dict from state key to entry; the second arrival keys the first at its
-# own depth before keying itself.  A state is its fingerprint and its key,
-# so the table answers every lookup as if every node were keyed on
-# arrival, and each state's entry is that of its least-depth arrival.
-# Under best-first a shallower arrival may come after a deeper one was
-# queued: it supersedes that entry, whose node is cleared and skipped at
-# pop (counted as merged).  bfs pops by depth, so nothing is ever
-# superseded there.  Nodes are never mutated once built: `successors` and
-# `finish` copy `solved` first.
+# One table, `states`, maps each state key to the queue entry of its
+# least-depth arrival.  Under best-first a shallower arrival may come after
+# a deeper one was queued: it supersedes that entry, whose node is cleared
+# and skipped at pop (counted as merged).  bfs pops by depth, so nothing is
+# ever superseded there.  Nodes are never mutated once built: `successors`
+# and `finish` copy `solved` first.
 #
 # A node at the step bound, a leaf, is finished and never expanded, and bfs
 # pops every node below the bound before any leaf.  So bfs queues its
@@ -555,39 +549,20 @@ def _node_trace(node: _Node, final: Substitution, eager: bool) -> tuple[BqTraceS
     return tuple(out)
 
 
-def _identity_functions(problem_vars: frozenset[Var]):
-    """The fingerprint and state-key functions of one solve call.  A
-    fingerprint is the goal's shape with every variable collapsed (interned
-    as a small int by symbol and argument shapes, and walked in full: a memo
-    by term value costs more on goals this small and recurses deeper) and
-    the degree.  A key holds what the fingerprint leaves out, so two nodes
-    are one state when both agree: the goal's variables in preorder (the
-    goal is not resolved, as its skeleton decides where LP may fire), then
-    the solved form on the problem variables and the goal's, resolved, with
-    fresh variables renamed by first occurrence; a problem variable stands
-    for itself."""
+def _state_key_function(problem_vars: frozenset[Var]):
+    """The state-key function of one solve call.  Two nodes are one state
+    exactly when their keys are equal.  A key is the degree, then the goal
+    in preorder (not resolved, as its skeleton decides where LP may fire;
+    the signature fixes each symbol's argument count), then the solved form
+    on the problem variables and the goal's, resolved.  A problem variable
+    stands for itself, and fresh variables are renamed by first
+    occurrence."""
     markers = [(x, ("=pv", x.name))
                for x in sorted(problem_vars, key=lambda v: (v.name, v.index))]
-    shape_ids: dict[tuple, int] = {}
-
-    def shape(t: Term) -> int:
-        if isinstance(t, Var):
-            return 0
-        parts = [t.symbol]
-        for a in t.args:
-            parts.append(shape(a))
-        parts = tuple(parts)
-        s = shape_ids.get(parts)
-        if s is None:
-            s = shape_ids[parts] = len(shape_ids) + 1
-        return s
-
-    def fingerprint(node: _Node) -> tuple:
-        return shape(node.goal), node.degree
 
     def node_key(node: _Node) -> tuple:
         bindings = node.solved
-        out: list = []
+        out: list = [node.degree]
         append = out.append
         slots: dict[Var, int] = {}
         order: list[Var] = []
@@ -602,12 +577,15 @@ def _identity_functions(problem_vars: frozenset[Var]):
                 order.append(v)
             append(s)
 
-        def emit_goal_vars(t: Term) -> None:
+        def emit_goal(t: App) -> None:
+            append(t.symbol)
             for a in t.args:
                 if isinstance(a, Var):
                     emit_var(a)
+                elif a.args:
+                    emit_goal(a)
                 else:
-                    emit_goal_vars(a)
+                    append(a.symbol)
 
         def emit_resolved(t: Term) -> None:
             while isinstance(t, Var):
@@ -621,7 +599,7 @@ def _identity_functions(problem_vars: frozenset[Var]):
             for a in t.args:
                 emit_resolved(a)
 
-        emit_goal_vars(node.goal)
+        emit_goal(node.goal)
         for x, marker in markers:
             if x in bindings:
                 append(marker)
@@ -633,9 +611,12 @@ def _identity_functions(problem_vars: frozenset[Var]):
             if v in bindings:
                 append(("=", slots[v]))
                 emit_resolved(v)
+        # each recursive helper holds itself through its closure: unbind both,
+        # so this call's tables are freed now and not by the cycle collector
+        emit_goal = emit_resolved = None
         return tuple(out)
 
-    return fingerprint, node_key
+    return node_key
 
 
 _UNSEEN = object()
@@ -696,7 +677,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     counter = FreshCounter(
         max_var_index([t, s] + [x for r in trs.rules for x in (r.lhs, r.rhs)]) + 1)
     start = _Node(App(EQ_SYMBOL, (t, s)), quantale.unit, {})
-    fingerprint, node_key = _identity_functions(problem_vars)
+    node_key = _state_key_function(problem_vars)
 
     goal_sig = trs.extended.signature
     rules_by_head = trs.rules_by_head
@@ -829,22 +810,14 @@ def solve(trs: GradedTrs, t: Term, s: Term,
         recorded deeper arrival is superseded."""
         nonlocal keyed
         depth, node = entry[2], entry[3]
-        fp = fingerprint(node)
-        keys = states.get(fp)
-        if keys is None:  # alone with its fingerprint: recorded unkeyed
-            states[fp] = entry
-            return True
-        if type(keys) is list:  # the second arrival keys the first
-            keys = states[fp] = {node_key(keys[3]): keys}
-            keyed += 1
         key = node_key(node)
         keyed += 1
-        known = keys.get(key)
+        known = states.get(key)
         if known is not None:
             if known[2] <= depth:
                 return False
             known[3] = None  # supersede the deeper arrival
-        keys[key] = entry
+        states[key] = entry
         return True
 
     # One frontier for both orders: a heap of [priority, arrival, depth, node]
@@ -855,8 +828,7 @@ def solve(trs: GradedTrs, t: Term, s: Term,
     # at max_steps=0 the only leaf is the start, identified below
     leaf_depth = max_steps if by_depth and max_steps else -1
     start_entry = [0 if by_depth else quantale.sort_key(start.degree), 0, 0, start]
-    # fingerprint -> its lone unkeyed arrival's entry, or {state key: entry}
-    states: dict[tuple, object] = {fingerprint(start): {node_key(start): start_entry}}
+    states = {node_key(start): start_entry}  # state key -> its recorded entry
     frontier = [start_entry]
     while frontier:
         entry = heapq.heappop(frontier)
@@ -972,7 +944,8 @@ def narrowing_solutions(trs: GradedTrs, t: Term, s: Term, max_steps: int,
     """Unifiers found by plain narrowing on `t =? s` over the extended
     system: canonical (restricted substitution, degree) pairs of derivations
     reaching true within the step bound.  Both terms must fit the system's
-    signature, or TrsError is raised."""
+    signature, or TrsError is raised; a negative max_steps raises
+    NarrowError (from `derivations`, before the search)."""
     check_terms(trs.signature, (t, s), "problem term")
     problem_vars = vars_of(t) | vars_of(s)
     goal = App(EQ_SYMBOL, (t, s))

@@ -272,11 +272,14 @@ def rewrite_search(trs: GradedTrs, start: Term, max_steps: int,
     (a singleton on totally ordered quantales) with one witnessing trace
     each.  Branches whose accumulated degree drops below the threshold are
     pruned, which is sound because the tensor is deflationary.  The start
-    term must fit the system's signature, or TrsError is raised; a threshold
-    from another quantale raises QuantaleMismatchError before the search.
+    term must fit the system's signature and max_steps must be non-negative,
+    or TrsError is raised; a threshold from another quantale raises
+    QuantaleMismatchError before the search.
     """
     check_terms(trs.signature, (start,), "start term")
     check_threshold(trs, threshold)
+    if max_steps < 0:
+        raise TrsError(f"max_steps must be non-negative, got {max_steps}")
     expand = innermost_rewrite_steps if innermost else rewrite_steps
     return _search(trs, start, max_steps, threshold, expand)[0]
 
@@ -285,9 +288,10 @@ def joinable(trs: GradedTrs, t: Term, s: Term, max_steps: int,
              threshold: Optional[QuantaleValue] = None) -> Optional[ReachEntry]:
     """Best degree at which t and s rewrite to a common term within the
     bound, with a witnessing trace from `t =? s` to `true` over the
-    extended system.  The system must be unextended and both terms must
-    fit its signature, or TrsError is raised; a threshold from another
-    quantale raises QuantaleMismatchError before the search.
+    extended system.  The system must be unextended, both terms must fit
+    its signature and max_steps must be non-negative, or TrsError is
+    raised; a threshold from another quantale raises QuantaleMismatchError
+    before the search.
 
     `=?` has identity sensitivities and only the unit-degree join rule
     rewrites it, so a join in at most max_steps steps is i steps from t
@@ -302,6 +306,8 @@ def joinable(trs: GradedTrs, t: Term, s: Term, max_steps: int,
         raise TrsError("joinable expects the unextended system")
     check_terms(trs.signature, (t, s), "joinability problem")
     check_threshold(trs, threshold)
+    if max_steps < 0:
+        raise TrsError(f"max_steps must be non-negative, got {max_steps}")
     if max_steps < 1:
         return None
     extended = trs.extended

@@ -882,10 +882,10 @@ class TestCli:
         assert problem["solutions"] == [
             {"substitution": {"x": "d"}, "degree": "4", "dominated": False}]
         assert problem["complete"] is True
-        # no two nodes share a fingerprint, so only the start is keyed
+        # every node is below the step bound, so each is keyed, the start's included
         counts = {"configs_expanded": 9, "successors_built": 8, "duplicates_merged": 0,
                   "commuted_skipped": 4, "threshold_pruned": 0, "clash_pruned": 0,
-                  "frontier_peak": 3, "states_keyed": 1}
+                  "frontier_peak": 3, "states_keyed": 9}
         assert {name: problem[name] for name in counts} == counts
         # every SolveResult field but the solutions is emitted as is
         assert set(problem) - {"left", "right", "threshold"} == \

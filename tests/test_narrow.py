@@ -32,11 +32,13 @@ from qnarrow import (
     derivations,
     fun_positions,
     initial_config,
+    joinable,
     narrowing_steps,
     narrowing_solutions,
     parse,
     parse_file,
     q_leq,
+    rewrite_search,
     solve,
     Var,
     vars_of,
@@ -53,7 +55,7 @@ from qnarrow.narrow import (
     BqTraceStep,
     _UNSEEN,
     _goal_is_equation,
-    _identity_functions,
+    _state_key_function,
     _variant_lhs,
     canonical_subst,
 )
@@ -577,8 +579,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("threshold, counts", [
-        (None, (5, 4, 0, 1, 0, 2, 2, 1)),
-        (L.degree(3), (4, 3, 0, 0, 2, 2, 2, 1)),
+        (None, (5, 4, 0, 1, 0, 2, 2, 4)),
+        (L.degree(3), (4, 3, 0, 0, 2, 2, 2, 3)),
     ])
     def test_work_counts(self, strategy, threshold, counts):
         """Counted by hand on g(a, b) =? a; the LP candidates are walked in
@@ -589,10 +591,12 @@ class TestSolve:
           - after 1.1: a -> b at 2 (4) commutes before 1.1; g(x, x) -> a at
             1 (3) reaches a =? a, solved at degree 3 at the bound.
         Threshold 3 prunes both degree-4 candidates before the skip test, so
-        nothing is skipped and the degree-4 node is never built.  No two nodes
-        share a fingerprint, so only the start is keyed.  At the bound
-        the threshold-3 search has only a -> b left (degree 5), which the
-        threshold would prune, so the bound cut nothing."""
+        nothing is skipped and the degree-4 node is never built.  The start and
+        both nodes below the bound are keyed; a leaf at the bound is keyed
+        only when the depth-cut probe fires on it, which happens once without
+        the threshold.  At the bound the threshold-3 search has only a -> b
+        left (degree 5), which the threshold would prune, so the bound cut
+        nothing."""
         pf = parse("quantale lawvere\nvar x\nfun a/0\nfun b/0\nfun g/2\n"
                    "rule 1 : g(x, x) -> a\nrule 2 : a -> b\nsolve g(a, b) =? a\n")
         problem = pf.problems[0]
@@ -668,9 +672,8 @@ class TestSolve:
     def test_deep_successor_goals(self, strategy):
         """Both successors of S^300(a) =? x rewrite a, so each goal is built
         afresh 301 deep, and they share a state (the system has a -> b twice).
-        Below the step bound both are identified: the fingerprint walks both
-        goals, and the second arrival keys both nodes, as the search keyed
-        every node before."""
+        Below the step bound both are identified: the state key walks both
+        goals, and the second arrival is merged into the first."""
         sig = Signature(L, {"a": (), "b": (), "S": (CBE_ID,)})
         a_to_b = RewriteRule(L.degree(1), App("a"), App("b"))
         trs = GradedTrs(sig, (a_to_b, a_to_b))
@@ -819,6 +822,26 @@ class TestNarrowingSolutions:
                        for rendering, _ in pairs)
 
 
+# each library entry point with a step bound other than `solve`, called with
+# the bound -1, and the error it must raise
+NEGATIVE_STEP_CALLS = {
+    "rewrite_search": (lambda trs: rewrite_search(trs, Z, -1), TrsError),
+    "joinable": (lambda trs: joinable(trs, Z, Z, -1), TrsError),
+    "derivations": (lambda trs: derivations(trs, X, -1), NarrowError),
+    "narrowing_solutions": (lambda trs: narrowing_solutions(trs, X, Z, -1), NarrowError),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEGATIVE_STEP_CALLS))
+def test_negative_step_bound_rejected(peano, entry):
+    """A negative step bound is an error raised at the call, before any
+    search, as in `solve`: not a bound met at once, which would return the
+    start term, no join, the empty derivation or no solution."""
+    call, error = NEGATIVE_STEP_CALLS[entry]
+    with pytest.raises(error, match="max_steps must be non-negative, got -1"):
+        call(peano)
+
+
 # -- golden outcomes on the demo problems -----------------------------------
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -884,30 +907,30 @@ class TestDemoGolden:
 # problem at each golden setting, recorded from the engine that queues bfs
 # arrivals at the step bound unidentified
 DEMO_COUNTERS = {
-    "chain/0/eager-su/bfs/10": (6, 5, 0, 2, 0, 0, 2, 1),
-    "chain/0/lazy/bfs/4": (6, 5, 0, 2, 0, 0, 2, 1),
-    "chain/0/eager-su/best-first/6": (6, 5, 0, 2, 0, 0, 2, 1),
-    "chain/0/lazy/best-first/3": (6, 5, 0, 2, 0, 0, 2, 1),
-    "cubic/0/eager-su/bfs/10": (9, 8, 0, 4, 0, 0, 3, 1),
-    "cubic/0/lazy/bfs/4": (9, 8, 0, 4, 0, 0, 3, 1),
-    "cubic/0/eager-su/best-first/6": (9, 8, 0, 4, 0, 0, 3, 1),
-    "cubic/0/lazy/best-first/3": (8, 7, 0, 3, 0, 0, 3, 1),
-    "fuzzy/0/eager-su/bfs/10": (2, 1, 0, 0, 0, 0, 1, 1),
-    "fuzzy/0/lazy/bfs/4": (2, 1, 0, 0, 0, 0, 1, 1),
-    "fuzzy/0/eager-su/best-first/6": (2, 1, 0, 0, 0, 0, 1, 1),
-    "fuzzy/0/lazy/best-first/3": (2, 1, 0, 0, 0, 0, 1, 1),
-    "innermost/0/eager-su/bfs/10": (3, 2, 0, 0, 0, 0, 2, 1),
-    "innermost/0/lazy/bfs/4": (3, 2, 0, 0, 0, 0, 2, 1),
-    "innermost/0/eager-su/best-first/6": (3, 2, 0, 0, 0, 0, 2, 1),
-    "innermost/0/lazy/best-first/3": (3, 2, 0, 0, 0, 0, 2, 1),
-    "peano/0/eager-su/bfs/10": (1672, 1762, 91, 1115, 2663, 0, 438, 1244),
-    "peano/0/lazy/bfs/4": (146, 146, 1, 78, 28, 0, 80, 39),
-    "peano/0/eager-su/best-first/6": (415, 442, 28, 257, 264, 0, 209, 383),
-    "peano/0/lazy/best-first/3": (68, 68, 1, 34, 4, 0, 44, 37),
-    "unbalanced/0/eager-su/bfs/10": (4, 3, 0, 0, 0, 0, 2, 1),
-    "unbalanced/0/lazy/bfs/4": (4, 3, 0, 0, 0, 0, 2, 1),
-    "unbalanced/0/eager-su/best-first/6": (4, 3, 0, 0, 0, 0, 2, 1),
-    "unbalanced/0/lazy/best-first/3": (4, 3, 0, 0, 0, 0, 2, 1),
+    "chain/0/eager-su/bfs/10": (6, 5, 0, 2, 0, 0, 2, 6),
+    "chain/0/lazy/bfs/4": (6, 5, 0, 2, 0, 0, 2, 6),
+    "chain/0/eager-su/best-first/6": (6, 5, 0, 2, 0, 0, 2, 6),
+    "chain/0/lazy/best-first/3": (6, 5, 0, 2, 0, 0, 2, 6),
+    "cubic/0/eager-su/bfs/10": (9, 8, 0, 4, 0, 0, 3, 9),
+    "cubic/0/lazy/bfs/4": (9, 8, 0, 4, 0, 0, 3, 8),
+    "cubic/0/eager-su/best-first/6": (9, 8, 0, 4, 0, 0, 3, 9),
+    "cubic/0/lazy/best-first/3": (8, 7, 0, 3, 0, 0, 3, 8),
+    "fuzzy/0/eager-su/bfs/10": (2, 1, 0, 0, 0, 0, 1, 2),
+    "fuzzy/0/lazy/bfs/4": (2, 1, 0, 0, 0, 0, 1, 2),
+    "fuzzy/0/eager-su/best-first/6": (2, 1, 0, 0, 0, 0, 1, 2),
+    "fuzzy/0/lazy/best-first/3": (2, 1, 0, 0, 0, 0, 1, 2),
+    "innermost/0/eager-su/bfs/10": (3, 2, 0, 0, 0, 0, 2, 3),
+    "innermost/0/lazy/bfs/4": (3, 2, 0, 0, 0, 0, 2, 3),
+    "innermost/0/eager-su/best-first/6": (3, 2, 0, 0, 0, 0, 2, 3),
+    "innermost/0/lazy/best-first/3": (3, 2, 0, 0, 0, 0, 2, 3),
+    "peano/0/eager-su/bfs/10": (1672, 1762, 91, 1115, 2663, 0, 438, 1328),
+    "peano/0/lazy/bfs/4": (146, 146, 1, 78, 28, 0, 80, 70),
+    "peano/0/eager-su/best-first/6": (415, 442, 28, 257, 264, 0, 209, 443),
+    "peano/0/lazy/best-first/3": (68, 68, 1, 34, 4, 0, 44, 69),
+    "unbalanced/0/eager-su/bfs/10": (4, 3, 0, 0, 0, 0, 2, 4),
+    "unbalanced/0/lazy/bfs/4": (4, 3, 0, 0, 0, 0, 2, 4),
+    "unbalanced/0/eager-su/best-first/6": (4, 3, 0, 0, 0, 0, 2, 4),
+    "unbalanced/0/lazy/best-first/3": (4, 3, 0, 0, 0, 0, 2, 4),
 }
 
 
@@ -1003,8 +1026,8 @@ def _key_function(problem_vars: frozenset[Var]):
     resolved bindings of every variable in scope, with fresh variables
     renamed by first occurrence, then the degree.  Serialized in one pass
     without building terms; a problem variable stands for itself.  This is
-    the state key as `solve` computed it before the key began with the
-    fingerprint (its logic kept verbatim); `reference_solve` keys by it."""
+    the state key as `solve` computed it when it still kept constraints in
+    its nodes (its logic kept verbatim); `reference_solve` keys by it."""
     markers = [(x, ("=pv", x.name))
                for x in sorted(problem_vars, key=lambda v: (v.name, v.index))]
     equation_strs: dict = {}
@@ -1128,37 +1151,21 @@ def eager_twin(node) -> ReferenceNode:
 
 
 def check_partition(trs, t, s, **kwargs) -> int:
-    """Within one solve, two built nodes are one state, with equal
-    fingerprints and equal keys, exactly when their eager twins get equal
-    reference keys.  Returns how many nodes were compared."""
+    """Within one solve, two built nodes are one state, with equal keys,
+    exactly when their eager twins get equal reference keys.  Returns how
+    many nodes were compared."""
     problem_vars = frozenset(vars_of(t) | vars_of(s))
     built = built_nodes(trs, t, s, **kwargs)
-    fingerprint, node_key = _identity_functions(problem_vars)
+    node_key = _state_key_function(problem_vars)
     to_reference, to_new = {}, {}
     for node in built:
-        new = (fingerprint(node), node_key(node))
+        new = node_key(node)
         reference = reference_node_key(eager_twin(node), problem_vars)
         assert to_reference.setdefault(new, reference) == reference, \
             (kwargs, "merges states the reference keeps apart")
         assert to_new.setdefault(reference, new) == new, \
             (kwargs, "splits a state the reference merges")
     return len(built)
-
-
-def check_keys_imply_fingerprints(trs, t, s, **kwargs) -> int:
-    """Keys every node one `solve` call builds by the reference key of its
-    eager twin and checks that nodes with equal keys have equal
-    fingerprints, so the gate on fingerprints keys every node a merge needs;
-    returns how many nodes repeat the key of an earlier one."""
-    problem_vars = frozenset(vars_of(t) | vars_of(s))
-    fingerprint, _ = _identity_functions(problem_vars)
-    fingerprints = {}
-    built = built_nodes(trs, t, s, **kwargs)
-    for node in built:
-        fp = fingerprint(node)
-        assert fingerprints.setdefault(reference_node_key(eager_twin(node), problem_vars),
-                                       fp) == fp, kwargs
-    return len(built) - len(fingerprints)
 
 
 class TestStateKeys:
@@ -1180,27 +1187,16 @@ class TestStateKeys:
             for order in ORDERS:
                 check_partition(trs, t, s, strategy=strategy, order=order, max_steps=steps)
 
-    @pytest.mark.parametrize("strategy, order, steps", GOLDEN_SETTINGS)
-    def test_equal_keys_have_equal_fingerprints(self, strategy, order, steps):
-        """Two built nodes with equal keys have equal fingerprints, so `solve`
-        keys every node that a merge needs.  Both strategies repeat some key
-        on the demos."""
-        repeated = sum(
-            check_keys_imply_fingerprints(trs, problem.left, problem.right,
-                                          threshold=problem.threshold, strategy=strategy,
-                                          order=order, max_steps=steps)
-            for _, trs, problem in demo_problems())
-        assert repeated > 0
-
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), quantale=st.sampled_from(list(Quantale)),
-           steps=st.integers(1, 3))
-    def test_random_systems_keys_imply_fingerprints(self, seed, quantale, steps):
-        trs, t, s = random_problem(seed, quantale)
-        for strategy in STRATEGIES:
-            for order in ORDERS:
-                check_keys_imply_fingerprints(trs, t, s, strategy=strategy, order=order,
-                                              max_steps=steps)
+    @pytest.mark.parametrize("strategy, steps",
+                             [(strategy, steps) for strategy, _, steps in GOLDEN_SETTINGS])
+    def test_best_first_keys_every_node(self, strategy, steps):
+        """Best-first identifies every node as it is built, so it computes
+        one state key per built node and one for the start, at every golden
+        setting's strategy and bound."""
+        for name, trs, problem in demo_problems():
+            result = solve(trs, problem.left, problem.right, threshold=problem.threshold,
+                           strategy=strategy, order="best-first", max_steps=steps)
+            assert result.states_keyed == result.successors_built + 1, name
 
 
 # -- the engine before commuted LP steps were skipped --------------------------
